@@ -44,6 +44,15 @@ TRACED = (
 )
 
 
+# Layers a set-up calls (queries builds its volume polynomials there),
+# reported from one traced set-up under a "setup." prefix.
+SETUP_METRICS = (
+    "chambers.signature.calls", "chambers.signature.self_s",
+    "volume.volume_polynomial.builds", "volume.volume_polynomial.hits",
+    "volume.volume_polynomial.self_s", "volume.terms_built",
+)
+
+
 def metric_names() -> list[str]:
     """Every per-layer metric a traced run reports, in a fixed order."""
     names = []
@@ -57,7 +66,8 @@ def metric_names() -> list[str]:
             names += [f"{key}.calls", f"{key}.self_s"]
         if key == "ratpoly.rank_and_kernel":
             names.append(f"{key}.max_cells")
-    return names + ["chambers.degenerate_walls", "chambers.lp_fallbacks", "trace.overhead_ratio"]
+    names += ["chambers.degenerate_walls", "chambers.lp_fallbacks", "trace.overhead_ratio"]
+    return names + [f"setup.{name}" for name in SETUP_METRICS]
 
 
 def metric_unit(name: str) -> str:
@@ -163,13 +173,13 @@ class Tracer:
             return before, None
         return None, None
 
-    def install(self, package: str = "polygonspace") -> None:
+    def install(self) -> None:
         modules = [
             m for name, m in sys.modules.items()
-            if isinstance(m, ModuleType) and (name == package or name.startswith(package + "."))
+            if isinstance(m, ModuleType) and (name == "polygonspace" or name.startswith("polygonspace."))
         ]
         for module, attr in TRACED:
-            owner = sys.modules[f"{package}.{module}"]
+            owner = sys.modules[f"polygonspace.{module}"]
             key = f"{module}.{attr.split('.')[-1]}"
             if "." in attr:
                 cls_name, meth = attr.split(".")

@@ -4,9 +4,10 @@
         --seconds S --trace 0|1
 
 Run from the repository root.  The package is imported from ``src/``.  The
-run sets up its workload several times (fresh import, seeded inputs, cache
-warm-up), then repeats whole rounds of the workload's operations until
-``--seconds`` have passed, checking every output against the oracles.  The
+run makes its seeded inputs once, sets up its workload several times (fresh
+import, binding the inputs, cache warm-up), then repeats whole rounds of the
+workload's operations until ``--seconds`` have passed, checking every output
+against the oracles.  The
 last line of standard output is one JSON object: ``correct``, ``attempted``,
 ``failed`` and ``metrics`` (end-to-end metrics with ``--trace 0``, per-layer
 metrics with ``--trace 1``).  The line before it carries the workload's own
@@ -16,6 +17,7 @@ figures and the machine; the full record goes to ``perfbench/results/``.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import os
@@ -32,7 +34,7 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 # Set-ups per run: more where a set-up is short, so that its median rests on
 # about a second of samples; a fixed count keeps peak RSS comparable.
-SETUP_REPEATS = {"census": 20, "ring": 8, "queries": 3}
+SETUP_REPEATS = {"census": 30, "ring": 30, "queries": 3}
 WORKLOADS = ("census", "ring", "queries")
 # The speed of the 2-core machine this benchmark was built on switches
 # between two states about 1.6x apart, each lasting seconds to minutes, in
@@ -56,17 +58,21 @@ def fresh_import():
     return lib
 
 
-def set_up(name: str, seed: int, counter) -> wls.Workload:
-    """Import, build the seeded inputs and bind them to the fresh package."""
+MAKE = {"census": wls.make_census, "ring": wls.make_ring, "queries": wls.make_queries}
+
+
+def set_up(name: str, inputs: dict, tracer: layers.Tracer, traced: bool = False) -> wls.Workload:
+    """Import afresh and bind the seeded inputs to the new package, warming
+    its caches; with ``traced``, the tracer is installed before the binding."""
     lib = fresh_import()
     clear = lib.volume.volume_polynomial.cache_clear
+    if traced:
+        tracer.install()
     if name == "census":
-        wl = wls.bind_census(lib, wls.make_census(seed), clear, counter)
-    elif name == "ring":
-        wl = wls.bind_ring(lib, wls.make_ring(seed), clear, counter)
-    else:
-        wl = wls.bind_queries(lib, wls.make_queries(seed))
-    return wl
+        return wls.bind_census(lib, inputs, clear, tracer.count)
+    if name == "ring":
+        return wls.bind_ring(lib, inputs, clear, tracer.count)
+    return wls.bind_queries(lib, inputs)
 
 
 def reference_work() -> Fraction:
@@ -205,11 +211,16 @@ def main(argv: list[str] | None = None) -> int:
 
     tracer = layers.Tracer()
     gauge = SpeedGauge()
+    # The inputs and the oracles' expected values are the same for every
+    # set-up of one seed, so they are made once and kept out of its time.
+    inputs = MAKE[args.workload](args.seed)
     setup_s, raw_setup_s = [], []
     for _ in range(SETUP_REPEATS[args.workload]):
+        wl = None
+        gc.collect()  # one live copy of the package at a time
         factor = gauge.factor()
         start = perf_counter()
-        wl = set_up(args.workload, args.seed, tracer.count)
+        wl = set_up(args.workload, inputs, tracer)
         raw_setup_s.append(perf_counter() - start)
         setup_s.append(raw_setup_s[-1] * factor)
 
@@ -217,16 +228,23 @@ def main(argv: list[str] | None = None) -> int:
     record: dict = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
                     "trace": args.trace, "machine": machine(), "setup_s": setup_s}
     if args.trace:
-        # Untraced rounds first, then the same rounds traced: the ratio of
-        # their median round times is the tracing overhead.
+        # Untraced rounds first, then one more set-up with the tracer
+        # installed, then the same rounds traced: the ratio of their median
+        # round times is the tracing overhead.
         runner.run_for(args.seconds / 2)
         plain = list(runner.round_s)
-        tracer.install()
+        facts = runner.wl.facts
+        runner.wl = None
+        gc.collect()
+        tracer.reset()
+        runner.wl = set_up(args.workload, inputs, tracer, traced=True)
+        runner.wl.facts = facts
+        values = {f"setup.{k}": v for k, v in tracer.totals(1).items()}
         tracer.reset()
         runner.round_s.clear()
         runner.run_for(args.seconds / 2)
         traced = runner.round_s
-        values = tracer.totals(len(traced))
+        values.update(tracer.totals(len(traced)))
         values["trace.overhead_ratio"] = _median(traced) / _median(plain)
         metrics = {k: {"value": values.get(k, 0), "unit": layers.metric_unit(k)} for k in layers.metric_names()}
         record.update(untraced_round_s=plain, traced_round_s=traced)

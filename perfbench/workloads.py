@@ -89,14 +89,20 @@ def point_in_class(rng: random.Random, sorted_rep: tuple[int, ...]):
     return r, orc.short_masks(r)
 
 
-def ring_classes(n: int = 6, max_side: int = 9) -> list[tuple[int, ...]]:
-    """For each b₂ = 2..n, the lexicographically first sorted integer vector
-    (odd perimeter, sides ≤ max_side) of a nonempty, non-external chamber with
-    that b₂.  A fixed rule, so every seed sees the same mix of chambers."""
+RING_CLASS_N = 6
+RING_CLASS_MAX_SIDE = 9
+
+
+def ring_classes() -> list[tuple[int, ...]]:
+    """For each b₂ = 2..RING_CLASS_N, the lexicographically first sorted
+    integer vector (odd perimeter, sides ≤ RING_CLASS_MAX_SIDE) of a nonempty,
+    non-external chamber with that b₂.  A fixed rule, so every seed sees the
+    same mix of chambers."""
     from itertools import combinations_with_replacement
 
+    n = RING_CLASS_N
     first: dict[int, tuple[int, ...]] = {}
-    for r in combinations_with_replacement(range(1, max_side + 1), n):
+    for r in combinations_with_replacement(range(1, RING_CLASS_MAX_SIDE + 1), n):
         if sum(r) % 2 == 0:
             continue
         shorts = orc.short_masks(r)
@@ -131,7 +137,8 @@ def _masks(lists) -> frozenset[int]:
 # -- the CLI runner shared by census and ring -------------------------------
 
 
-def cli_op(lib: ModuleType, clear_cache: Callable[[], None], argv: list[str], counter=None):
+def cli_op(lib: ModuleType, clear_cache: Callable[[], None], argv: list[str],
+           counter: Callable[[str, int], None]):
     """One CLI invocation in-process; the volume cache starts empty, as in a new process."""
 
     def call():
@@ -139,8 +146,7 @@ def cli_op(lib: ModuleType, clear_cache: Callable[[], None], argv: list[str], co
         out, err = io.StringIO(), io.StringIO()
         code = lib.cli.run(argv, out, err)
         text = out.getvalue()
-        if counter is not None:
-            counter("cli.stdout_bytes", len(text.encode()))
+        counter("cli.stdout_bytes", len(text.encode()))
         if code != 0:
             raise OpFailed(f"exit {code}: {err.getvalue().strip()}")
         return json.loads(text)
