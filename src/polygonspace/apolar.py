@@ -15,13 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import factorial, gcd, lcm, prod
+from operator import add
 
 from polygonspace.chambers import ChamberSignature, IndexSet
 from polygonspace.ratpoly import (
+    Exponents,
     MultiPoly,
+    matrix_rank,
     monomial_exponents,
-    rank_and_kernel,
+    sparse_kernel,
 )
 from polygonspace.volume import (
     Convention,
@@ -80,27 +83,30 @@ def _presented(vp: VolumePolynomial, conv: Convention) -> MultiPoly:
     return conv.apply(vp.v)
 
 
-def _apolarity_matrix(
-    poly: MultiPoly, d: int
-) -> tuple[list[tuple[int, ...]], list[list[Fraction]]]:
-    """Matrix of Q ↦ Q(∂)poly restricted to degree-d monomials Q.
+def _apolarity_matrix(poly: MultiPoly, d: int) -> tuple[list[Exponents], list[list[int]]]:
+    """Integer matrix of Q ↦ Q(∂)poly restricted to degree-d monomials Q.
 
-    Columns are the degree-d monomials in graded-lex order, rows the
-    monomials of the image space (a single graded piece when poly is
-    homogeneous, every lower degree otherwise), so the right kernel is the
-    degree-d annihilator in graded-lex coordinates.
+    Columns are the degree-d monomials α in graded-lex order, rows the
+    monomials γ of the image space (a single graded piece when poly is
+    homogeneous, every lower degree otherwise).  ∂^α poly has coefficient
+    c_{α+γ}·(α+γ)!/γ! at x^γ; row γ is scaled by γ! and every row by one
+    common denominator D, so the entry is the integer D·c_{α+γ}·(α+γ)!, a
+    Hankel-type matrix read off the coefficients.  Nonzero row scaling
+    keeps the rank and the right kernel, which is the degree-d annihilator
+    in graded-lex coordinates.
     """
+    weighted = {e: c * prod(factorial(k) for k in e) for e, c in poly.terms()}
+    scale = lcm(*(c.denominator for c in weighted.values()))
+    hankel = {e: int(c * scale) for e, c in weighted.items()}
     nvars = poly.nvars
     domain = monomial_exponents(nvars, d)
-    images = [poly.differentiate(alpha) for alpha in domain]
     top = max(poly.degree() - d, 0)
     degrees = [top] if poly.is_homogeneous() and not poly.is_zero else range(top + 1)
-    image_exps = [e for k in degrees for e in monomial_exponents(nvars, k)]
-    index = {e: i for i, e in enumerate(image_exps)}
-    mat = [[Fraction(0)] * len(domain) for _ in image_exps]
-    for col, img in enumerate(images):
-        for e, c in img.terms():
-            mat[index[e]][col] = c
+    mat = [
+        [hankel.get(tuple(map(add, alpha, gamma)), 0) for alpha in domain]
+        for k in degrees
+        for gamma in monomial_exponents(nvars, k)
+    ]
     return domain, mat
 
 
@@ -116,8 +122,7 @@ def catalecticant_rank(vp: VolumePolynomial, d: int, conv: Convention) -> int:
     if poly.is_zero:
         return 0
     domain, mat = _apolarity_matrix(poly, d)
-    rank, _ = rank_and_kernel(mat, ncols=len(domain))
-    return rank
+    return matrix_rank(mat, ncols=len(domain))
 
 
 def betti_numbers(sig: ChamberSignature, conv: Convention) -> tuple[int, ...]:
@@ -135,14 +140,87 @@ def betti_numbers(sig: ChamberSignature, conv: Convention) -> tuple[int, ...]:
     return tuple(catalecticant_rank(vp, d, conv) for d in range(sig.n - 2))
 
 
-def _kernel_polys(poly: MultiPoly, nvars: int, d: int) -> list[MultiPoly]:
-    """Canonical basis of {Q homogeneous of degree d : Q(∂)poly = 0}."""
+def _rank_and_annihilator(poly: MultiPoly, d: int) -> tuple[int, list[dict[Exponents, Fraction]]]:
+    """Catalecticant rank and the canonical basis of {Q of degree d : Q(∂)poly = 0}.
+
+    Each basis polynomial is a dict in ascending graded-lex order; its last
+    key is its free monomial, where its coefficient is 1.
+    """
     domain, mat = _apolarity_matrix(poly, d)
-    _, kernel = rank_and_kernel(mat, ncols=len(domain))
-    return [
-        MultiPoly(nvars, {e: c for e, c in zip(domain, vec) if c})
-        for vec in kernel
-    ]
+    rank, kernel = sparse_kernel(mat, ncols=len(domain))
+    return rank, [{domain[col]: c for col, c in vec.items()} for vec in kernel]
+
+
+def _primitive(row: dict[int, Fraction | int]) -> dict[int, int]:
+    """The row scaled to coprime integers (an empty row stays empty)."""
+    den = lcm(*(v.denominator for v in row.values()))
+    ints = {k: int(v * den) for k, v in row.items()}
+    content = gcd(*ints.values())
+    return {k: v // content for k, v in ints.items()}
+
+
+def _reduce_modulo(
+    kernel: list[dict[Exponents, Fraction]],
+    prev_kernel: list[dict[Exponents, Fraction]],
+    nvars: int,
+) -> list[int]:
+    """Positions k of the basis vectors g_k of K_d that are new generators.
+
+    g_k is new when it lies outside the span of xᵢ·K_{d−1} and g₀..g_{k−1}.
+    All of these lie in K_d (Ann is an ideal), whose members are written in
+    the coordinates of its canonical basis: their coefficients at the free
+    monomials, where g_k is the unit vector e_k.  e_k lies in
+    span(xᵢ·K_{d−1}) + span(e₀..e_{k−1}) exactly when some vector of the
+    first span has its last nonzero coordinate at k, so the new positions
+    are those at which no row of an echelon form of the xᵢ·g ends.  Rows are
+    primitive integer dicts, eliminated fraction-free with the content
+    divided out after each step; once their rank reaches dim K_d no position
+    is left, and the remaining products are not formed.
+    """
+    position = {next(reversed(g)): k for k, g in enumerate(kernel)}
+    echelon: dict[int, dict[int, int]] = {}  # last position -> row ending there
+    for g in prev_kernel:
+        for i in range(nvars):
+            if len(echelon) == len(kernel):
+                return []
+            shifted = (position.get(e[:i] + (e[i] + 1,) + e[i + 1 :]) for e in g)
+            row = _primitive({k: c for k, c in zip(shifted, g.values()) if k is not None})
+            while row:
+                last = max(row)
+                base = echelon.get(last)
+                if base is None:
+                    echelon[last] = row
+                    break
+                a, b = base[last], row[last]
+                row = _primitive({
+                    k: v
+                    for k in row.keys() | base.keys()
+                    if (v := a * row.get(k, 0) - b * base.get(k, 0))
+                })
+    return [k for k in range(len(kernel)) if k not in echelon]
+
+
+def _ranks_and_generators(
+    sig: ChamberSignature, conv: Convention
+) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[MultiPoly, ...]], ...]]:
+    """Betti numbers and minimal annihilator generators, one catalecticant per degree.
+
+    The ranks of degrees 0..n−3 are the Betti numbers.  In each degree
+    d = 1..n−2 the kernel K_d is reduced modulo the span of xᵢ·K_{d−1}
+    (K_0 is empty for a nonempty chamber).
+    """
+    if sig.is_empty():
+        raise EmptyChamber(f"no cohomology: {sig} has a long singleton")
+    poly = _presented(volume_polynomial(sig), conv)
+    ranks, kernels = zip(*(_rank_and_annihilator(poly, d) for d in range(sig.n - 1)))
+    generators = tuple(
+        (d, tuple(
+            MultiPoly(poly.nvars, kernels[d][k])
+            for k in _reduce_modulo(kernels[d], kernels[d - 1], poly.nvars)
+        ))
+        for d in range(1, sig.n - 1)
+    )
+    return ranks[:-1], generators
 
 
 def annihilator_generators(
@@ -154,63 +232,11 @@ def annihilator_generators(
     xᵢ·K_{d−1} (products of lower-degree annihilators), keeping only new
     generators; in degree n−2 every monomial annihilates, so the reduction
     is against the whole of x·K_{n−3}.  Output is deterministic: kernels are
-    canonical reduced echelon bases in graded-lex coordinates.
+    canonical reduced echelon bases in graded-lex coordinates, and a kernel
+    vector is kept when it extends the span of those products and of the
+    kernel vectors before it.
     """
-    if sig.is_empty():
-        raise EmptyChamber(f"no cohomology: {sig} has a long singleton")
-    n = sig.n
-    poly = _presented(volume_polynomial(sig), conv)
-    nvars = poly.nvars
-    out: list[tuple[int, tuple[MultiPoly, ...]]] = []
-    prev_kernel: list[MultiPoly] = []
-    for d in range(1, n - 1):
-        kernel = _kernel_polys(poly, nvars, d)
-        old_span = [
-            MultiPoly.variable(nvars, i) * g
-            for g in prev_kernel
-            for i in range(nvars)
-        ]
-        fresh = _reduce_modulo(kernel, old_span, nvars, d)
-        out.append((d, tuple(fresh)))
-        prev_kernel = kernel
-    return tuple(out)
-
-
-def _reduce_modulo(
-    kernel: list[MultiPoly], old_span: list[MultiPoly], nvars: int, d: int
-) -> list[MultiPoly]:
-    """Members of `kernel` that extend the span of `old_span`, canonically.
-
-    Runs one echelon pass over old_span followed by the kernel basis; a
-    kernel vector is a new generator exactly when it enlarges the span.
-    """
-    cols = monomial_exponents(nvars, d)
-    col_index = {e: k for k, e in enumerate(cols)}
-
-    def as_row(p: MultiPoly) -> list[Fraction]:
-        row = [Fraction(0)] * len(cols)
-        for e, c in p.terms():
-            row[col_index[e]] = c
-        return row
-
-    echelon: list[tuple[int, list[Fraction]]] = []  # (pivot column, row)
-
-    def insert(row: list[Fraction]) -> bool:
-        for piv, base in echelon:
-            if row[piv]:
-                f = row[piv] / base[piv]
-                for k in range(piv, len(row)):
-                    row[k] -= f * base[k]
-        lead = next((k for k, v in enumerate(row) if v), None)
-        if lead is None:
-            return False
-        echelon.append((lead, row))
-        echelon.sort(key=lambda t: t[0])
-        return True
-
-    for p in old_span:
-        insert(as_row(p))
-    return [g for g in kernel if insert(as_row(g))]
+    return _ranks_and_generators(sig, conv)[1]
 
 
 def is_zero_class(
@@ -295,10 +321,11 @@ def pd_bases_agree(
 
 
 def presentation(sig: ChamberSignature, conv: Convention) -> ApolarPresentation:
-    """Betti numbers together with minimal annihilator generators."""
+    """Betti numbers together with minimal annihilator generators.
+
+    Each degree's catalecticant is built once and gives both.
+    """
+    betti, generators = _ranks_and_generators(sig, conv)
     return ApolarPresentation(
-        chamber=sig,
-        convention=conv,
-        betti=betti_numbers(sig, conv),
-        ann_generators=annihilator_generators(sig, conv),
+        chamber=sig, convention=conv, betti=betti, ann_generators=generators
     )

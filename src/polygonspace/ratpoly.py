@@ -36,6 +36,7 @@ __all__ = [
     "monomial_exponents",
     "parse_rational",
     "rank_and_kernel",
+    "sparse_kernel",
 ]
 
 
@@ -310,15 +311,17 @@ class MultiPoly:
             raise ValueError(f"variable index {index} out of range")
         if replacement.nvars != self.nvars - 1:
             raise ValueError("replacement must have one variable fewer")
-        out = MultiPoly.zero(self.nvars - 1)
-        powers: dict[int, MultiPoly] = {0: MultiPoly.constant(self.nvars - 1, 1)}
+        acc: dict[Exponents, Fraction] = {}
+        powers: dict[int, MultiPoly] = {}
         for e, c in self._terms:
             k = e[index]
             if k not in powers:
                 powers[k] = replacement**k
             rest = e[:index] + e[index + 1 :]
-            out = out + powers[k] * MultiPoly(self.nvars - 1, {rest: c})
-        return out
+            for pe, pc in powers[k]._terms:
+                key = tuple(a + b for a, b in zip(rest, pe))
+                acc[key] = acc.get(key, 0) + c * pc
+        return MultiPoly(self.nvars - 1, acc)
 
     def permute(self, perm: Sequence[int]) -> MultiPoly:
         """Relabel variables: variable i becomes variable perm[i]."""
@@ -340,11 +343,30 @@ class MultiPoly:
 
     @classmethod
     def from_records(cls, nvars: int, records: Iterable[Mapping[str, object]]) -> MultiPoly:
+        """Inverse of ``to_records``; any malformed record raises ValueError.
+
+        Each record is a mapping with exactly the keys "coeff" (a rational
+        as text, an int or a Fraction) and "exps" (``nvars`` non-negative
+        ints).
+        """
         terms = []
         for rec in records:
-            coeff = rec["coeff"]
-            value = parse_rational(coeff) if isinstance(coeff, str) else Fraction(coeff)
-            terms.append((tuple(rec["exps"]), value))
+            if not isinstance(rec, Mapping) or set(rec) != {"coeff", "exps"}:
+                raise ValueError(f"a record needs exactly the keys 'coeff' and 'exps', got {rec!r}")
+            coeff, exps = rec["coeff"], rec["exps"]
+            if isinstance(coeff, str):
+                value = parse_rational(coeff)
+            elif isinstance(coeff, (int, Fraction)) and not isinstance(coeff, bool):
+                value = Fraction(coeff)
+            else:
+                raise ValueError(f"'coeff' must be a rational as text or an integer, got {coeff!r}")
+            if (
+                not isinstance(exps, (list, tuple))
+                or len(exps) != nvars
+                or any(type(k) is not int or k < 0 for k in exps)
+            ):
+                raise ValueError(f"'exps' must be a list of {nvars} non-negative integers, got {exps!r}")
+            terms.append((tuple(exps), value))
         return cls(nvars, terms)
 
     def format(self, var: str = "x") -> str:
@@ -393,14 +415,23 @@ def monomial_exponents(nvars: int, degree: int) -> list[Exponents]:
 
 
 def _integer_rows(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[int]]:
+    """Copy of the matrix with each row scaled to integers (integer rows as they are)."""
     out = []
     for row in rows:
         if len(row) != ncols:
             raise ValueError("matrix rows differ in length")
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+            continue
         fr = [Fraction(x) for x in row]
-        den = math.lcm(*(x.denominator for x in fr)) if fr else 1
+        den = math.lcm(*(x.denominator for x in fr))
         out.append([int(x * den) for x in fr])
     return out
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _bareiss_echelon(mat: list[list[int]]) -> list[int]:
@@ -429,6 +460,40 @@ def _bareiss_echelon(mat: list[list[int]]) -> list[int]:
     return pivot_cols
 
 
+def sparse_kernel(
+    rows: Sequence[Sequence[Scalar]], ncols: int
+) -> tuple[int, list[dict[int, Fraction]]]:
+    """Exact rank and canonical right-kernel basis, each vector as {column: value}.
+
+    The basis is the one ``rank_and_kernel`` returns, without its zeros: one
+    vector per free column of the reduced row echelon form, with a 1 in that
+    column, which is also its last nonzero entry (keys ascend).  Elimination
+    and back-substitution run on integer rows; only the kernel entries are
+    fractions.
+    """
+    mat = _integer_rows(rows, ncols)
+    pivot_cols = _bareiss_echelon(mat)
+    reduced = [_primitive(mat[k]) for k in range(len(pivot_cols))]
+    for k in reversed(range(len(reduced))):
+        col = pivot_cols[k]
+        a = reduced[k][col]
+        for i in range(k):
+            b = reduced[i][col]
+            if b:
+                reduced[i] = _primitive([a * x - b * y for x, y in zip(reduced[i], reduced[k])])
+    pivot_set = set(pivot_cols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivot_set):
+        vec = {
+            col: Fraction(-reduced[k][fc], reduced[k][col])
+            for k, col in enumerate(pivot_cols)
+            if reduced[k][fc]
+        }
+        vec[fc] = Fraction(1)
+        basis.append(vec)
+    return len(pivot_cols), basis
+
+
 def rank_and_kernel(
     rows: Sequence[Sequence[Scalar]], ncols: int | None = None
 ) -> tuple[int, tuple[tuple[Fraction, ...], ...]]:
@@ -442,31 +507,14 @@ def rank_and_kernel(
         if not rows:
             raise ValueError("ncols is required for a matrix with no rows")
         ncols = len(rows[0])
-    mat = _integer_rows(rows, ncols)
-    pivot_cols = _bareiss_echelon(mat)
-    rank = len(pivot_cols)
-    reduced = [[Fraction(v) for v in mat[i]] for i in range(rank)]
-    for k in reversed(range(rank)):
-        col = pivot_cols[k]
-        inv = reduced[k][col]
-        reduced[k] = [v / inv for v in reduced[k]]
-        for i in range(k):
-            factor = reduced[i][col]
-            if factor:
-                reduced[i] = [a - factor * b for a, b in zip(reduced[i], reduced[k])]
-    pivot_set = set(pivot_cols)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivot_set):
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for k, col in enumerate(pivot_cols):
-            vec[col] = -reduced[k][fc]
-        basis.append(tuple(vec))
-    return rank, tuple(basis)
+    rank, sparse = sparse_kernel(rows, ncols)
+    zero = Fraction(0)
+    return rank, tuple(tuple(vec.get(col, zero) for col in range(ncols)) for vec in sparse)
 
 
 def matrix_rank(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> int:
     """Exact rank over the rationals (empty matrix has rank 0)."""
     if not rows:
         return 0
-    return rank_and_kernel(rows, ncols)[0]
+    mat = _integer_rows(rows, len(rows[0]) if ncols is None else ncols)
+    return len(_bareiss_echelon(mat))

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
+from typing import Sequence
 
 import pytest
 
@@ -17,6 +18,7 @@ from polygonspace.chambers import (
     signature,
 )
 from polygonspace.ratpoly import MultiPoly, matrix_rank, monomial_exponents
+from polygonspace.volume import Convention, volume_polynomial
 
 # The two n = 5 reference chambers used throughout: an external one (complex
 # projective plane) and its neighbor across the wall of {1,3} (the one-point
@@ -92,23 +94,160 @@ def random_empty(rng: random.Random, n: int) -> LengthVector:
             return r
 
 
-def direct_volume_value(r: LengthVector) -> Fraction:
+def direct_volume_value(
+    r: LengthVector,
+    operator: MultiPoly | None = None,
+    at: Sequence[Fraction] | None = None,
+) -> Fraction:
     """Independent evaluation of the signed power sum, no polynomial algebra.
 
     Walks every proper subset of {1..n} plus the full set, raises each
     positive epsilon to the n-3 power, and applies the parity sign and the
     -1/(2(n-3)!) factor numerically.  Oracle for the volume module.
+
+    With a homogeneous ``operator`` Q of degree d, returns instead the value
+    of Q(d/dr) applied to the chamber's polynomial, at the point ``at`` (r
+    by default): each d^a/dr^a takes eps_I^(n-3) to
+    (n-3)!/(n-3-d)! * s^a * eps_I^(n-3-d), where s holds the signs of eps_I.
     """
     n = r.n
     deg = n - 3
     values = list(r.lengths)
-    acc = sum(values) ** deg
+    point = values if at is None else list(at)
+    terms = [((0,) * n, Fraction(1))] if operator is None else list(operator.terms())
+    d = sum(terms[0][0]) if terms else 0
+    if d > deg:
+        return Fraction(0)
+
+    def term(signs: list[int]) -> Fraction:
+        q = sum(c * prod(s**k for s, k in zip(signs, e)) for e, c in terms)
+        return q * sum(s * x for s, x in zip(signs, point)) ** (deg - d)
+
+    acc = term([1] * n)
     for mask in range(1, (1 << n) - 1):
-        eps = sum(values[i] if mask >> i & 1 else -values[i] for i in range(n))
-        if eps > 0:
+        signs = [1 if mask >> i & 1 else -1 for i in range(n)]
+        if sum(s * x for s, x in zip(signs, values)) > 0:
             sign = -1 if (n - mask.bit_count()) % 2 else 1
-            acc += sign * eps**deg
-    return Fraction(-1, 2 * factorial(deg)) * acc
+            acc += sign * term(signs)
+    return Fraction(-1, 2 * factorial(deg - d)) * acc
+
+
+def signed_power_sum(sig: ChamberSignature) -> MultiPoly:
+    """The defining expansion of the volume polynomial, by powers of linear forms.
+
+    -1/(2(n-3)!) * sum of sigma_I * eps_I^(n-3) over the long sets I and the
+    full set, sigma_I = (-1)^(n-|I|), each power expanded with
+    ``MultiPoly.linear_form(...) ** (n-3)``.  Oracle for volume_polynomial.
+    """
+    n = sig.n
+    deg = n - 3
+    total = MultiPoly.linear_form([1] * n) ** deg  # full-set term, sign +1
+    for index_set in sig.long_sets():
+        form = MultiPoly.linear_form(
+            [1 if index_set.mask >> i & 1 else -1 for i in range(n)]
+        )
+        term = form**deg
+        total = total - term if (n - index_set.p) % 2 else total + term
+    return total * Fraction(-1, 2 * factorial(deg))
+
+
+def _reference_kernel(poly: MultiPoly, d: int) -> list[MultiPoly]:
+    """Canonical kernel basis of Q -> Q(d)poly on degree-d monomials.
+
+    The matrix is built from ``differentiate`` and reduced by Gauss-Jordan
+    over Fraction; one basis vector per free column, with a 1 there.
+    """
+    nvars = poly.nvars
+    domain = monomial_exponents(nvars, d)
+    top = max(poly.degree() - d, 0)
+    degrees = [top] if poly.is_homogeneous() else range(top + 1)
+    image = [e for k in degrees for e in monomial_exponents(nvars, k)]
+    index = {e: i for i, e in enumerate(image)}
+    rows = [[Fraction(0)] * len(domain) for _ in image]
+    for col, alpha in enumerate(domain):
+        for e, c in poly.differentiate(alpha).terms():
+            rows[index[e]][col] = c
+    pivots: list[int] = []
+    for col in range(len(domain)):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    basis = []
+    for fc in (c for c in range(len(domain)) if c not in pivots):
+        terms = {domain[fc]: Fraction(1)}
+        for k, col in enumerate(pivots):
+            terms[domain[col]] = -rows[k][fc]
+        basis.append(MultiPoly(nvars, terms))
+    return basis
+
+
+def _reference_reduce_modulo(
+    kernel: list[MultiPoly], old_span: list[MultiPoly], nvars: int, d: int
+) -> list[MultiPoly]:
+    """Members of `kernel` that extend the span of `old_span`, canonically.
+
+    One dense Fraction echelon pass over old_span followed by the kernel
+    basis; a kernel vector is a new generator exactly when it enlarges the
+    span.
+    """
+    cols = monomial_exponents(nvars, d)
+    col_index = {e: k for k, e in enumerate(cols)}
+
+    def as_row(p: MultiPoly) -> list[Fraction]:
+        row = [Fraction(0)] * len(cols)
+        for e, c in p.terms():
+            row[col_index[e]] = c
+        return row
+
+    echelon: list[tuple[int, list[Fraction]]] = []  # (pivot column, row)
+
+    def insert(row: list[Fraction]) -> bool:
+        for piv, base in echelon:
+            if row[piv]:
+                f = row[piv] / base[piv]
+                for k in range(piv, len(row)):
+                    row[k] -= f * base[k]
+        lead = next((k for k, v in enumerate(row) if v), None)
+        if lead is None:
+            return False
+        echelon.append((lead, row))
+        echelon.sort(key=lambda t: t[0])
+        return True
+
+    for p in old_span:
+        insert(as_row(p))
+    return [g for g in kernel if insert(as_row(g))]
+
+
+def reference_annihilator_generators(
+    sig: ChamberSignature, conv: Convention
+) -> tuple[tuple[int, tuple[MultiPoly, ...]], ...]:
+    """Minimal annihilator generators per degree, by dense Fraction algebra.
+
+    In each degree d = 1..n-2 the kernel basis is reduced modulo the span of
+    x_i times the previous degree's kernel.  Oracle for
+    apolar.annihilator_generators.
+    """
+    poly = conv.apply(volume_polynomial(sig).v)
+    nvars = poly.nvars
+    out = []
+    prev_kernel: list[MultiPoly] = []
+    for d in range(1, sig.n - 1):
+        kernel = _reference_kernel(poly, d)
+        old_span = [
+            MultiPoly.variable(nvars, i) * g for g in prev_kernel for i in range(nvars)
+        ]
+        out.append((d, tuple(_reference_reduce_modulo(kernel, old_span, nvars, d))))
+        prev_kernel = kernel
+    return tuple(out)
 
 
 def span_rank(polys: list[MultiPoly], nvars: int, degree: int) -> int:

@@ -32,7 +32,12 @@ from polygonspace import (
 )
 from polygonspace.ratpoly import matrix_rank, monomial_exponents, rank_and_kernel
 
-from conftest import random_nonempty, same_span, span_rank
+from conftest import (
+    random_nonempty,
+    reference_annihilator_generators,
+    same_span,
+    span_rank,
+)
 
 F = Fraction
 
@@ -232,6 +237,35 @@ def test_generators_are_minimal(blowup_sig) -> None:
         base = span_rank(lower, 4, d)
         for g in lookup.get(d, ()):
             assert span_rank(lower + [g], 4, d) == base + 1
+
+
+# The five n = 6 chamber classes of the benchmark's ring workload, one for
+# each b2 = 2..6: the lexicographically first sorted integer side vector with
+# sides <= 9 and odd perimeter whose chamber is nonempty and not external.
+RING_CLASSES_N6 = (
+    (1, 2, 2, 2, 2, 6),
+    (1, 1, 1, 4, 4, 4),
+    (1, 1, 1, 2, 2, 4),
+    (1, 1, 1, 1, 2, 3),
+    (1, 1, 1, 1, 1, 2),
+)
+
+
+def test_generators_match_dense_reference(graph5) -> None:
+    cases = [
+        (node.signature, conv)
+        for node in graph5.nodes
+        if not node.empty
+        for conv in (HOM, AFF5)
+    ]
+    cases += [
+        (signature(LengthVector.from_values(r)), HOM) for r in RING_CLASSES_N6
+    ]
+    assert len(cases) == 2 * 76 + 5
+    for sig, conv in cases:
+        assert annihilator_generators(sig, conv) == reference_annihilator_generators(
+            sig, conv
+        )
 
 
 def test_presentation_bundles_everything(blowup_sig) -> None:

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
 from polygonspace import Convention, LengthVector, MultiPoly, signature, volume_polynomial
 from polygonspace import cli
 
+from conftest import direct_volume_value
+
 CP2 = "3/20,3/20,2/5,3/20,3/20"
 BLOWUP = "3/60,11/60,24/60,11/60,11/60"
+R7 = "125/893,8/893,100/893,111/893,156/893,196/893,197/893"
 
 
 def invoke(argv: list[str]) -> tuple[int, str, str]:
@@ -275,6 +279,32 @@ def test_exit_usage_errors() -> None:
     assert invoke(["validate", "--r", CP2, "--n", "4"])[0] == 4
     assert invoke(["validate"])[0] == 4
     assert invoke(["chambers", "--n", "77"])[0] == 4
+
+
+def test_pairing_rejects_malformed_records() -> None:
+    for records in ('[{"coef":"1","exps":[1,0,0,0,0]}]', "[1]"):
+        code, out, err = invoke(["pairing", "--r", BLOWUP, "--a", records, "--b", "x3"])
+        assert code == 4 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def test_ring_n7_regression() -> None:
+    r = LengthVector.parse(R7)
+    doc = invoke_json(["ring", "--r", R7])
+    assert doc["betti"] == [1, 7, 12, 7, 1]
+    groups = {g["degree"]: g["classes"] for g in doc["generators"]}
+    assert len(groups[1]) == r.n - doc["betti"][1] == 0
+    points = [r.lengths, tuple(Fraction(k, 3 + k * k) for k in range(1, 8))]
+    gens = [MultiPoly.from_records(7, c["records"]) for cs in groups.values() for c in cs]
+    assert gens
+    for g in gens:
+        for x in points:
+            assert direct_volume_value(r, operator=g, at=x) == 0
+    # the check can fail: no linear form annihilates v here
+    x1 = MultiPoly.variable(7, 0)
+    value = x1.apply_operator(volume_polynomial(signature(r)).v).evaluate(points[1])
+    assert direct_volume_value(r, operator=x1, at=points[1]) == value != 0
 
 
 # -------------------------------------------------------------- presentation

@@ -232,6 +232,19 @@ def test_records_round_trip_and_format() -> None:
     assert MultiPoly.from_records(3, recs) == p
     assert p.format("r") == "1/2*r1^2 - r2*r3"
     assert MultiPoly.zero(2).format() == "0"
+    for bad in (
+        [1],
+        [{"coef": "1", "exps": [1, 0, 0]}],
+        [{"coeff": "1", "exps": [1, 0, 0], "extra": 0}],
+        [{"coeff": None, "exps": [1, 0, 0]}],
+        [{"coeff": 0.5, "exps": [1, 0, 0]}],
+        [{"coeff": "1", "exps": [1, 0]}],
+        [{"coeff": "1", "exps": [1, -1, 0]}],
+        [{"coeff": "1", "exps": [1, 0, "2"]}],
+        [{"coeff": "1", "exps": 3}],
+    ):
+        with pytest.raises(ValueError):
+            MultiPoly.from_records(3, bad)
 
 
 # -- monomial bases ----------------------------------------------------------------

@@ -22,6 +22,7 @@ from polygonspace import (
     volume_value,
     wall_jump,
 )
+from polygonspace.volume import VOLUME_CACHE_SIZE
 
 from conftest import (
     BLOWUP_R,
@@ -30,6 +31,7 @@ from conftest import (
     random_empty,
     random_generic,
     random_nonempty,
+    signed_power_sum,
 )
 
 F = Fraction
@@ -84,6 +86,20 @@ def test_empty_chamber_volume_vanishes() -> None:
 
 def test_polynomial_cache_is_stable(cp2_sig) -> None:
     assert volume_polynomial(cp2_sig) is volume_polynomial(cp2_sig)
+    assert volume_polynomial.cache_info().maxsize == VOLUME_CACHE_SIZE
+    volume_polynomial.cache_clear()
+    assert volume_polynomial.cache_info().currsize == 0
+    assert volume_polynomial(cp2_sig) == volume_polynomial(cp2_sig)
+
+
+def test_volume_matches_defining_expansion(graph5) -> None:
+    # the parity transform against the signed sum of powers of linear forms,
+    # on every n = 5 chamber (empty ones included) and sampled n = 6, 7 ones
+    rng = random.Random(107)
+    sigs = [node.signature for node in graph5.nodes]
+    sigs += [signature(random_generic(rng, n)) for n in [6] * 20 + [7] * 5]
+    for sig in sigs:
+        assert volume_polynomial(sig).v == signed_power_sum(sig)
 
 
 def test_volume_matches_direct_power_sum() -> None:
