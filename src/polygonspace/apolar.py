@@ -118,7 +118,10 @@ def catalecticant_rank(vp: VolumePolynomial, d: int, conv: Convention) -> int:
     n = vp.chamber.n
     if not 0 <= d <= n - 3:
         raise DegreeOutOfRange(f"degree {d} outside 0..{n - 3}")
-    poly = _presented(vp, conv)
+    return _rank(_presented(vp, conv), d)
+
+
+def _rank(poly: MultiPoly, d: int) -> int:
     if poly.is_zero:
         return 0
     domain, mat = _apolarity_matrix(poly, d)
@@ -136,8 +139,8 @@ def betti_numbers(sig: ChamberSignature, conv: Convention) -> tuple[int, ...]:
     """
     if sig.is_empty():
         raise EmptyChamber(f"no cohomology: {sig} has a long singleton")
-    vp = volume_polynomial(sig)
-    return tuple(catalecticant_rank(vp, d, conv) for d in range(sig.n - 2))
+    poly = _presented(volume_polynomial(sig), conv)
+    return tuple(_rank(poly, d) for d in range(sig.n - 2))
 
 
 def _rank_and_annihilator(poly: MultiPoly, d: int) -> tuple[int, list[dict[Exponents, Fraction]]]:

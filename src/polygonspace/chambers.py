@@ -9,18 +9,23 @@ inclusion-maximal ones.
 
 This module classifies points, builds chamber signatures, walks across walls
 exactly (adjacent representatives, segment crossings), and enumerates the
-whole chamber graph for small n.  Everything is exact rational arithmetic;
-index sets are bitmasks internally and sorted 1-based integer lists
-externally.
+whole chamber graph for small n.  Everything is exact: r is scaled to
+integers by the lcm of its denominators, so classifying the 2ⁿ subsets is
+integer subset sums, and a chamber is held as one Python int with bit m set
+when the index set of mask m is short.  Index sets are bitmasks internally
+and sorted 1-based integer lists externally.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from functools import lru_cache
+from itertools import compress
+from math import lcm
+from typing import Container, Iterable, Iterator, Sequence
 
 from polygonspace import exactlp
 from polygonspace.ratpoly import Scalar, format_rational, parse_rational
@@ -211,35 +216,90 @@ class Wall:
     def q(self) -> int:
         return self.index_set.q
 
-    @property
-    def pair(self) -> tuple[IndexSet, IndexSet]:
-        """Both members of the complementary pair, canonically ordered."""
-        members = sorted((self.index_set, self.index_set.complement), key=lambda s: s.sort_key)
-        return (members[0], members[1])
-
-    @property
-    def reversed(self) -> Wall:
-        return Wall(self.index_set.complement)
-
     def __str__(self) -> str:
         return f"wall {self.index_set} (long -> short)"
 
 
-def _prefix_sums(r: LengthVector) -> list[Fraction]:
-    """sums[mask] = Σ_{i in mask} r_i for all masks."""
-    sums = [Fraction(0)] * (1 << r.n)
-    for mask in range(1, 1 << r.n):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + r[low.bit_length() - 1]
+# A family of index sets is a bitset: an int with bit m set when mask m is a
+# member.  Complementing every member reverses the 2^n bits, and with sel[i],
+# the masks that contain i, removing i from every member is one shift:
+# (bits & sel[i]) >> 2^i.
+
+
+@lru_cache(maxsize=None)
+def _selectors(n: int) -> tuple[int, ...]:
+    """sel[i]: the bitset of the masks that contain index i (0-based)."""
+    ones = (1 << (1 << n)) - 1
+    return tuple(
+        (((1 << h) - 1) << h) * (ones // ((1 << 2 * h) - 1))
+        for h in (1 << i for i in range(n))
+    )
+
+
+def _proper(n: int) -> int:
+    """The bitset of the proper nonempty masks."""
+    return (1 << ((1 << n) - 1)) - 2
+
+
+def _bitset(n: int, masks: Iterable[int]) -> int:
+    """The bitset holding the given masks."""
+    flags = bytearray(b"0") * (1 << n)
+    for m in masks:
+        flags[m] = ord("1")
+    return int(flags[::-1], 2)
+
+
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _members(bits: int) -> list[int]:
+    """The masks in a bitset, increasing."""
+    flags = format(bits, "b")[::-1].encode().translate(_BIT_VALUES)
+    return list(compress(range(len(flags)), flags))
+
+
+def _down_closure(n: int, bits: int) -> int:
+    """Every proper nonempty subset of a member, and the members."""
+    for i, sel in enumerate(_selectors(n)):
+        bits |= (bits & sel) >> (1 << i)
+    return bits & ~1
+
+
+def _maximal(n: int, bits: int) -> int:
+    """The members of a down-closed family that no other member contains."""
+    below = 0
+    for i, sel in enumerate(_selectors(n)):
+        below |= (bits & sel) >> (1 << i)
+    return bits & ~below
+
+
+def _subset_sums(values: Sequence[Fraction], den: int | None = None) -> list[int]:
+    """sums[m] = den·Σ_{i∈m} values_i for all 2^n masks m (den defaults to
+    the lcm of the denominators, which makes every sum an integer)."""
+    if den is None:
+        den = lcm(*(x.denominator for x in values))
+    sums = [0]
+    for x in values:
+        k = x.numerator * (den // x.denominator)
+        sums += [s + k for s in sums]
     return sums
 
 
-def _pair_masks(n: int) -> Iterator[int]:
+def _short_bits(sums: list[int]) -> int:
+    """The bitset of the nonempty masks m with 2·sums[m] < sums[full]."""
+    cut = (sums[-1] + 1) // 2  # 2s < total exactly when s < cut
+    return int("".join(["1" if s < cut else "0" for s in reversed(sums)]), 2) & ~1
+
+
+def _canonical_order(s: IndexSet) -> tuple[int, int]:
+    """Sort key in the order of IndexSet.sort_key: by size, then first the set
+    holding the lowest index where two differ, i.e. the larger reversed mask."""
+    return (s.mask.bit_count(), -int(format(s.mask, f"0{s.n}b")[::-1], 2))
+
+
+def _pair_masks(n: int) -> range:
     """One canonical mask per complementary pair: the member containing index 1."""
-    full = (1 << n) - 1
-    for mask in range(1, full):
-        if mask & 1:
-            yield mask
+    return range(1, (1 << n) - 1, 2)
 
 
 def epsilon(r: LengthVector, I: IndexSet) -> Fraction:
@@ -249,80 +309,91 @@ def epsilon(r: LengthVector, I: IndexSet) -> Fraction:
     inside = sum((x for i, x in enumerate(r) if I.mask >> i & 1), Fraction(0))
     return 2 * inside - r.perimeter
 
-def _first_vanishing(r: LengthVector, sums: list[Fraction]) -> IndexSet | None:
-    """The canonically-first proper nonempty I with ε_I(r) = 0, if any."""
-    perimeter = sums[(1 << r.n) - 1]
-    zeros = [
-        mask
-        for mask in range(1, (1 << r.n) - 1)
-        if 2 * sums[mask] == perimeter
-    ]
-    if not zeros:
-        return None
-    sets = [IndexSet(r.n, mask) for mask in zeros]
-    return min(sets, key=lambda s: s.sort_key)
+
+def _generic_sums(r: LengthVector, den: int | None = None) -> list[int]:
+    """The integer subset sums of r; SingularLength, naming the canonically
+    first I, if some ε_I(r) vanishes."""
+    sums = _subset_sums(r.lengths, den)
+    total = sums[-1]
+    if total % 2 == 0 and total // 2 in sums:
+        zeros = [IndexSet(r.n, m) for m, s in enumerate(sums) if 2 * s == total]
+        raise SingularLength(r, min(zeros, key=_canonical_order))
+    return sums
 
 
 def is_generic(r: LengthVector) -> bool:
     """True iff no ε_I(r) vanishes over the 2^(n-1)-1 complementary pairs."""
-    sums = _prefix_sums(r)
-    perimeter = sums[(1 << r.n) - 1]
-    return all(2 * sums[mask] != perimeter for mask in _pair_masks(r.n))
+    sums = _subset_sums(r.lengths)
+    return sums[-1] % 2 == 1 or sums[-1] // 2 not in sums
 
 
 def long_sets(r: LengthVector) -> list[IndexSet]:
     """All proper nonempty long sets of a generic r, canonically sorted."""
-    sums = _prefix_sums(r)
-    bad = _first_vanishing(r, sums)
-    if bad is not None:
-        raise SingularLength(r, bad)
-    perimeter = sums[(1 << r.n) - 1]
-    longs = [
-        IndexSet(r.n, mask)
-        for mask in range(1, (1 << r.n) - 1)
-        if 2 * sums[mask] > perimeter
-    ]
-    return sorted(longs, key=lambda s: s.sort_key)
+    sums = _generic_sums(r)
+    longs = _proper(r.n) & ~_short_bits(sums)
+    return sorted((IndexSet(r.n, m) for m in _members(longs)), key=_canonical_order)
 
 
 def is_empty(r: LengthVector) -> bool:
     """True iff the polygon space is empty: some single side is long."""
-    sums = _prefix_sums(r)
-    bad = _first_vanishing(r, sums)
-    if bad is not None:
-        raise SingularLength(r, bad)
-    return 2 * max(r) > r.perimeter
+    sums = _generic_sums(r)
+    return any(2 * sums[1 << i] > sums[-1] for i in range(r.n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChamberSignature:
-    """A chamber, encoded by its inclusion-maximal short sets."""
+    """A chamber, encoded by its inclusion-maximal short sets.
+
+    The chamber is held as the bitset of all its short sets (see _selectors);
+    two signatures are equal when these bitsets are.  Construction checks,
+    with a fixed number of big-int operations, that the listed sets are
+    exactly the maximal members of their down-closure and that the closure
+    classifies every complementary pair exactly once.
+    """
 
     n: int
     maximal_shorts: tuple[IndexSet, ...]
+    _shorts: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        sets = tuple(sorted(self.maximal_shorts, key=lambda s: s.sort_key))
+        n = self.n
+        sets = tuple(sorted(self.maximal_shorts, key=_canonical_order))
         object.__setattr__(self, "maximal_shorts", sets)
         if not sets:
             raise ValueError("a chamber has at least one maximal short set")
-        if any(s.n != self.n for s in sets):
+        if any(s.n != n for s in sets):
             raise ValueError("maximal short sets must live on the same n indices")
-        if len({s.mask for s in sets}) != len(sets):
+        tops = _bitset(n, (s.mask for s in sets))
+        if tops.bit_count() != len(sets):
             raise ValueError("duplicate maximal short sets")
-        for a in sets:
-            for b in sets:
-                if a is not b and a.is_subset_of(b):
-                    raise ValueError(f"{a} is contained in {b}; sets must be inclusion-maximal")
-        # Down-closure must classify every complementary pair exactly once.
-        for mask in _pair_masks(self.n):
-            comp = ((1 << self.n) - 1) ^ mask
-            if self._is_short_mask(mask) == self._is_short_mask(comp):
-                pair = IndexSet(self.n, mask)
-                raise ValueError(f"maximal shorts do not classify the pair {pair}/{pair.complement}")
+        shorts = _down_closure(n, tops)
+        maximal = _maximal(n, shorts)
+        if maximal != tops:
+            a = next(s for s in sets if not maximal >> s.mask & 1)
+            b = next(t for t in sets if t is not a and a.is_subset_of(t))
+            raise ValueError(f"{a} is contained in {b}; sets must be inclusion-maximal")
+        longs = int(format(shorts, f"0{1 << n}b")[::-1], 2)  # complements of the shorts
+        unclassified = (shorts & longs | _proper(n) & ~(shorts | longs)) & _selectors(n)[0]
+        if unclassified:
+            pair = IndexSet(n, (unclassified & -unclassified).bit_length() - 1)
+            raise ValueError(f"maximal shorts do not classify the pair {pair}/{pair.complement}")
+        object.__setattr__(self, "_shorts", shorts)
+
+    @classmethod
+    def _from_shorts(cls, n: int, shorts: int) -> ChamberSignature:
+        """The signature of a down-closed bitset of short sets."""
+        return cls(n, tuple(IndexSet(n, m) for m in _members(_maximal(n, shorts))))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ChamberSignature):
+            return NotImplemented
+        return self.n == other.n and self._shorts == other._shorts
+
+    def __hash__(self) -> int:
+        return hash((self.n, self._shorts))
 
     def _is_short_mask(self, mask: int) -> bool:
-        return any(mask & ~s.mask == 0 for s in self.maximal_shorts)
+        return bool(self._shorts >> mask & 1)
 
     def is_short(self, I: IndexSet) -> bool:
         return self._is_short_mask(I.mask)
@@ -330,23 +401,16 @@ class ChamberSignature:
     def is_long(self, I: IndexSet) -> bool:
         return not self._is_short_mask(I.mask)
 
+    def _sets(self, bits: int) -> list[IndexSet]:
+        return sorted((IndexSet(self.n, m) for m in _members(bits)), key=_canonical_order)
+
     def short_sets(self) -> list[IndexSet]:
         """All proper nonempty short sets (down-closure), canonically sorted."""
-        out = [
-            IndexSet(self.n, mask)
-            for mask in range(1, (1 << self.n) - 1)
-            if self._is_short_mask(mask)
-        ]
-        return sorted(out, key=lambda s: s.sort_key)
+        return self._sets(self._shorts)
 
     def long_sets(self) -> list[IndexSet]:
         """All proper nonempty long sets, canonically sorted."""
-        out = [
-            IndexSet(self.n, mask)
-            for mask in range(1, (1 << self.n) - 1)
-            if not self._is_short_mask(mask)
-        ]
-        return sorted(out, key=lambda s: s.sort_key)
+        return self._sets(_proper(self.n) & ~self._shorts)
 
     def is_empty(self) -> bool:
         """True iff some singleton is long (polygon space empty)."""
@@ -361,26 +425,19 @@ class ChamberSignature:
         if self.is_short(I):
             raise NotAFacet(f"{I} is short here; only long sets name exit walls")
         comp_mask = I.complement.mask
-        if all(s.mask != comp_mask for s in self.maximal_shorts):
+        if not _maximal(self.n, self._shorts) >> comp_mask & 1:
             raise NotAFacet(f"{I.complement} is not a maximal short set; {I} does not bound this chamber")
-        shorts = {mask for mask in range(1, (1 << self.n) - 1) if self._is_short_mask(mask)}
-        shorts.discard(comp_mask)
-        shorts.add(I.mask)
-        return _signature_from_short_masks(self.n, shorts)
+        return self._from_shorts(self.n, self._shorts & ~(1 << comp_mask) | 1 << I.mask)
 
     def adjacent_pair_with(self, other: ChamberSignature) -> IndexSet | None:
         """The set long here and short in `other`, if the two signatures differ
         in exactly that complementary pair; otherwise None."""
-        if self.n != other.n or self == other:
+        if self.n != other.n:
             return None
-        flip = None
-        for mask in _pair_masks(self.n):
-            if self._is_short_mask(mask) != other._is_short_mask(mask):
-                if flip is not None:
-                    return None
-                flip = mask
-        if flip is None:
+        differ = (self._shorts ^ other._shorts) & _selectors(self.n)[0]
+        if differ.bit_count() != 1:
             return None
+        flip = differ.bit_length() - 1
         long_here = flip if not self._is_short_mask(flip) else ((1 << self.n) - 1) ^ flip
         return IndexSet(self.n, long_here)
 
@@ -402,27 +459,9 @@ class ChamberSignature:
         return "[" + ", ".join(str(s) for s in self.maximal_shorts) + "]"
 
 
-def _signature_from_short_masks(n: int, shorts: set[int]) -> ChamberSignature:
-    maximal = [
-        mask for mask in shorts
-        if not any(other != mask and mask & ~other == 0 for other in shorts)
-    ]
-    return ChamberSignature(n, tuple(IndexSet(n, mask) for mask in maximal))
-
-
 def signature(r: LengthVector) -> ChamberSignature:
     """The chamber signature of a generic r."""
-    sums = _prefix_sums(r)
-    bad = _first_vanishing(r, sums)
-    if bad is not None:
-        raise SingularLength(r, bad)
-    perimeter = sums[(1 << r.n) - 1]
-    shorts = {
-        mask
-        for mask in range(1, (1 << r.n) - 1)
-        if 2 * sums[mask] < perimeter
-    }
-    return _signature_from_short_masks(r.n, shorts)
+    return ChamberSignature._from_shorts(r.n, _short_bits(_generic_sums(r)))
 
 
 def is_external(sig: ChamberSignature) -> bool:
@@ -462,34 +501,50 @@ def external_representative(n: int, j: int = 1, perimeter: Scalar = 1) -> Length
     return LengthVector.from_values([big if i == j - 1 else rest for i in range(n)])
 
 
+def _max_margin_point(
+    sig: ChamberSignature, sums: Sequence[tuple[int, Fraction]], skip: Container[int] = ()
+) -> tuple[Fraction, ...] | None:
+    """The max-margin point of the chamber under equality constraints, or None.
+
+    Solves max λ over {x ≥ λ, Σ_{i∈m} xᵢ = value for each (m, value) in
+    `sums`, every complementary pair whose canonical mask is not in `skip`
+    keeps its chamber sign with slack ≥ λ} (exact LP, integer rows).  A
+    positive optimum is the most wall-distant point of that region; a
+    nonpositive one, or infeasibility, gives None.
+    """
+    n = sig.n
+    ge_rows: list[tuple[list[int], int]] = []
+    for mask in _pair_masks(n):
+        if mask in skip:
+            continue
+        sign = -1 if sig._is_short_mask(mask) else 1
+        # sign·ε_J(x) − λ ≥ 0
+        ge_rows.append(([sign if mask >> i & 1 else -sign for i in range(n)] + [-1], 0))
+    for i in range(n):
+        ge_rows.append(([int(j == i) for j in range(n)] + [-1], 0))
+    eq_rows = [
+        ([value.denominator if mask >> i & 1 else 0 for i in range(n)] + [0], value.numerator)
+        for mask, value in sums
+    ]
+    solved = exactlp.maximize([0] * n + [1], eq_rows, ge_rows)
+    if solved is None or solved[0] <= 0:
+        return None
+    return solved[1][:n]
+
+
 def representative(sig: ChamberSignature, perimeter: Scalar = 1) -> LengthVector:
     """A deep interior point of the chamber, at the given perimeter.
 
-    Maximizes the margin λ subject to x ≥ λ, Σx = P, and every pair keeping
-    the signature's sign with slack ≥ λ (exact LP); the optimum is the most
-    wall-distant point, so the result is generic and canonical.
+    The max-margin point with Σx = P; the optimum is the most wall-distant
+    point, so the result is generic and canonical.
     """
-    n = sig.n
     P = Fraction(perimeter)
     if P <= 0:
         raise ValueError("perimeter must be positive")
-    zero = Fraction(0)
-    ge_rows: list[tuple[list[Fraction], Fraction]] = []
-    for mask in _pair_masks(n):
-        sign = -1 if sig._is_short_mask(mask) else 1
-        coeffs = [Fraction(sign if mask >> i & 1 else -sign) for i in range(n)]
-        ge_rows.append((coeffs + [Fraction(-1)], zero))
-    for i in range(n):
-        coeffs = [zero] * (n + 1)
-        coeffs[i] = Fraction(1)
-        coeffs[n] = Fraction(-1)
-        ge_rows.append((coeffs, zero))
-    eq_rows = [([Fraction(1)] * n + [zero], P)]
-    objective = [zero] * n + [Fraction(1)]
-    solved = exactlp.maximize(objective, eq_rows, ge_rows)
-    if solved is None or solved[0] <= 0:
+    values = _max_margin_point(sig, [((1 << sig.n) - 1, P)])
+    if values is None:
         raise ValueError(f"signature {sig} is not realizable by any length vector")
-    point = LengthVector.from_values(solved[1][:n])
+    point = LengthVector.from_values(values)
     if signature(point) != sig:
         raise ValueError(f"interior-point search failed for {sig}")
     return point
@@ -510,24 +565,12 @@ def _wall_point_ok(values: tuple[Fraction, ...], sig: ChamberSignature, I: Index
     """Strictly positive, ε_I = 0, every other pair keeps its chamber sign."""
     if any(x <= 0 for x in values):
         return False
-    n = sig.n
-    sums = [Fraction(0)] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + values[low.bit_length() - 1]
-    perimeter = sums[(1 << n) - 1]
-    pair = {I.mask, I.complement.mask}
-    for mask in _pair_masks(n):
-        e = 2 * sums[mask] - perimeter
-        if mask in pair or ((1 << n) - 1) ^ mask in pair:
-            if e != 0:
-                return False
-            continue
-        if e == 0:
-            return False
-        if (e < 0) != sig._is_short_mask(mask):
-            return False
-    return True
+    sums = _subset_sums(values)
+    total = sums[-1]
+    # I and Iᶜ are the only masks at half the perimeter
+    if 2 * sums[I.mask] != total or sums.count(sums[I.mask]) != 2:
+        return False
+    return _short_bits(sums) == sig._shorts & ~(1 << I.complement.mask)
 
 
 def _wall_point_candidates(
@@ -541,43 +584,6 @@ def _wall_point_candidates(
     scale_in = half / inside
     scale_out = half / (r.perimeter - inside)
     yield tuple(x * (scale_in if I.mask >> i & 1 else scale_out) for i, x in enumerate(r))
-
-
-def _lp_wall_point(
-    sig: ChamberSignature, I: IndexSet, perimeter: Fraction
-) -> tuple[Fraction, ...] | None:
-    """Max-margin point of the facet on the wall of I, or None if it is empty.
-
-    Solves max λ over {x ≥ λ, Σ_I x = Σ_Iᶜ x = P/2, every non-flipping pair
-    keeps its chamber sign with slack ≥ λ}; a positive optimum certifies a
-    relative-interior facet point, a nonpositive one certifies emptiness.
-    """
-    n = sig.n
-    half = perimeter / 2
-    ge_rows: list[tuple[list[Fraction], Fraction]] = []
-    zero = Fraction(0)
-    pair = {I.mask, I.complement.mask}
-    for mask in _pair_masks(n):
-        if mask in pair:
-            continue
-        sign = -1 if sig._is_short_mask(mask) else 1
-        # sign·ε_J(x) − λ ≥ 0
-        coeffs = [Fraction(sign if mask >> i & 1 else -sign) for i in range(n)]
-        ge_rows.append((coeffs + [Fraction(-1)], zero))
-    for i in range(n):
-        coeffs = [zero] * (n + 1)
-        coeffs[i] = Fraction(1)
-        coeffs[n] = Fraction(-1)
-        ge_rows.append((coeffs, zero))
-    eq_rows = [
-        ([Fraction(1 if I.mask >> i & 1 else 0) for i in range(n)] + [zero], half),
-        ([Fraction(0 if I.mask >> i & 1 else 1) for i in range(n)] + [zero], half),
-    ]
-    objective = [zero] * n + [Fraction(1)]
-    solved = exactlp.maximize(objective, eq_rows, ge_rows)
-    if solved is None or solved[0] <= 0:
-        return None
-    return solved[1][:n]
 
 
 def adjacent_representative(
@@ -601,7 +607,9 @@ def adjacent_representative(
             chosen = values
             break
     if chosen is None:
-        chosen = _lp_wall_point(sig, I, r.perimeter)
+        # the facet's max-margin point; a nonpositive margin means no facet
+        pair = (I.mask, I.complement.mask)
+        chosen = _max_margin_point(sig, [(m, r.perimeter / 2) for m in pair], skip=pair)
         if chosen is None or not _wall_point_ok(chosen, sig, I):
             raise DegenerateWall(f"the wall of {I} does not carry a facet of {sig}")
     wall_point = LengthVector(chosen)
@@ -635,22 +643,19 @@ def segment_crossings(
         raise ValueError(
             f"perimeter changes along the segment: {r_from.perimeter} vs {r_to.perimeter}"
         )
-    sums_from = _prefix_sums(r_from)
-    sums_to = _prefix_sums(r_to)
-    for r, sums in ((r_from, sums_from), (r_to, sums_to)):
-        bad = _first_vanishing(r, sums)
-        if bad is not None:
-            raise SingularLength(r, bad)
-    perimeter = r_from.perimeter
+    den = lcm(*(x.denominator for x in (*r_from, *r_to)))
+    sums_from = _generic_sums(r_from, den)
+    sums_to = _generic_sums(r_to, den)
+    n = r_from.n
+    total = sums_from[-1]
+    flipped = (_short_bits(sums_from) ^ _short_bits(sums_to)) & _selectors(n)[0]
     crossings: dict[Fraction, tuple[Fraction, Wall]] = {}
-    for mask in _pair_masks(r_from.n):
-        e0 = 2 * sums_from[mask] - perimeter
-        e1 = 2 * sums_to[mask] - perimeter
-        if (e0 > 0) == (e1 > 0):
-            continue
-        t = e0 / (e0 - e1)
-        long_before = mask if e0 > 0 else ((1 << r_from.n) - 1) ^ mask
-        wall = Wall(IndexSet(r_from.n, long_before))
+    for mask in _members(flipped):
+        e0 = 2 * sums_from[mask] - total
+        e1 = 2 * sums_to[mask] - total
+        t = Fraction(e0, e0 - e1)
+        long_before = mask if e0 > 0 else ((1 << n) - 1) ^ mask
+        wall = Wall(IndexSet(n, long_before))
         if t in crossings:
             other = crossings[t][1]
             raise NonGenericSegment(

@@ -67,6 +67,11 @@ EXIT_SINGULAR = 2
 EXIT_EMPTY = 3
 EXIT_USAGE = 4
 
+# Per-point commands do 2^n work or more.  At 16 sides `analyze` takes
+# 0.03-0.1 s and `betti --method wallcross` 0.5-10 s, at 17 sides 0.1-0.4 s
+# and 1.7-65 s (random to nearly equal lengths; 2-core x86, Python 3.11).
+MAX_SIDES = 16
+
 
 class _UsageError(Exception):
     """Replaces argparse's SystemExit so run() can map it to exit code 4."""
@@ -258,12 +263,24 @@ def _parse_poly(text: str, names: Sequence[str]) -> MultiPoly:
 Handler = Callable[[argparse.Namespace], "tuple[dict[str, object], int]"]
 
 
+def _check_sides(n: int) -> None:
+    if n > MAX_SIDES:
+        raise ValueError(f"{n} sides exceed the limit of {MAX_SIDES} for per-point commands")
+
+
+def _lengths(text: str) -> LengthVector:
+    """Parse side lengths, rejecting more than MAX_SIDES before any 2^n work."""
+    r = LengthVector.parse(text)
+    _check_sides(r.n)
+    return r
+
+
 def _lengths_doc(r: LengthVector) -> list[str]:
     return [format_rational(x) for x in r]
 
 
 def _cmd_analyze(args: argparse.Namespace) -> tuple[dict[str, object], int]:
-    r = LengthVector.parse(args.r)
+    r = _lengths(args.r)
     sig = signature(r)
     doc: dict[str, object] = {
         "n": r.n,
@@ -277,7 +294,7 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict[str, object], int]:
 
 
 def _cmd_volume(args: argparse.Namespace) -> tuple[dict[str, object], int]:
-    r = LengthVector.parse(args.r)
+    r = _lengths(args.r)
     conv = Convention.parse(args.convention)
     sig = signature(r)
     vp = volume_polynomial(sig)
@@ -298,7 +315,7 @@ def _cmd_volume(args: argparse.Namespace) -> tuple[dict[str, object], int]:
 
 
 def _cmd_intersect(args: argparse.Namespace) -> tuple[dict[str, object], int]:
-    r = LengthVector.parse(args.r)
+    r = _lengths(args.r)
     conv = Convention.parse(args.convention)
     sig = signature(r)
     alpha = MultiIndex(tuple(int(a) for a in args.alpha.split(",")))
@@ -316,7 +333,7 @@ def _cmd_intersect(args: argparse.Namespace) -> tuple[dict[str, object], int]:
 
 
 def _cmd_betti(args: argparse.Namespace) -> tuple[dict[str, object], int]:
-    r = LengthVector.parse(args.r)
+    r = _lengths(args.r)
     conv = Convention.parse(args.convention)
     sig = signature(r)
     doc: dict[str, object] = {}
@@ -330,7 +347,7 @@ def _cmd_betti(args: argparse.Namespace) -> tuple[dict[str, object], int]:
 
 
 def _cmd_ring(args: argparse.Namespace) -> tuple[dict[str, object], int]:
-    r = LengthVector.parse(args.r)
+    r = _lengths(args.r)
     conv = Convention.parse(args.convention)
     sig = signature(r)
     pres = presentation(sig, conv)
@@ -350,7 +367,7 @@ def _cmd_ring(args: argparse.Namespace) -> tuple[dict[str, object], int]:
 
 
 def _cmd_pairing(args: argparse.Namespace) -> tuple[dict[str, object], int]:
-    r = LengthVector.parse(args.r)
+    r = _lengths(args.r)
     conv = Convention.parse(args.convention)
     sig = signature(r)
     names = _variable_names(r.n, conv, "x")
@@ -370,13 +387,14 @@ def _cmd_pairing(args: argparse.Namespace) -> tuple[dict[str, object], int]:
 
 
 def _cmd_pd_class(args: argparse.Namespace) -> tuple[dict[str, object], int]:
-    r = LengthVector.parse(args.r) if args.r else None
+    r = _lengths(args.r) if args.r else None
     if r is not None:
         n = r.n
         if args.n is not None and args.n != n:
             raise ValueError(f"--n {args.n} disagrees with --r of length {n}")
     elif args.n is not None:
         n = args.n
+        _check_sides(n)
     else:
         raise ValueError("pd-class needs --n or --r")
     I = IndexSet.from_indices(n, [int(s) for s in args.set.split(",")])
@@ -402,8 +420,8 @@ def _cmd_pd_class(args: argparse.Namespace) -> tuple[dict[str, object], int]:
 
 
 def _cmd_wallcross(args: argparse.Namespace) -> tuple[dict[str, object], int]:
-    r0 = LengthVector.parse(args.r_from)
-    r1 = LengthVector.parse(args.r_to)
+    r0 = _lengths(args.r_from)
+    r1 = _lengths(args.r_to)
     crossings = segment_crossings(r0, r1)
     sig = signature(r0)
     sig0 = sig
@@ -497,7 +515,7 @@ def _validation_doc(report: ChamberValidation) -> dict[str, object]:
 
 def _cmd_validate(args: argparse.Namespace) -> tuple[dict[str, object], int]:
     if args.r is not None:
-        r = LengthVector.parse(args.r)
+        r = _lengths(args.r)
         report = validate_chamber(signature(r), r)
         return _validation_doc(report), EXIT_OK if report.passed else EXIT_INTERNAL
     graph = enumerate_chambers(args.n)

@@ -13,7 +13,7 @@ ambitions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 Row = tuple[Sequence[Fraction | int], Fraction | int]
@@ -33,34 +33,31 @@ def maximize(
     infeasible.  Raises ``ValueError`` if the objective is unbounded above.
     """
     nvars = len(objective)
-    nge = len(ge_rows)
+    neq, nge = len(eq_rows), len(ge_rows)
     width = nvars + nge  # structural + slack columns; artificials appended later
+    if any(len(coeffs) != nvars for coeffs, _ in (*eq_rows, *ge_rows)):
+        raise ValueError("constraint width does not match the objective")
+    # Each row is scaled to integers, its slack column (-1 on a >= row) with it.
     rows: list[list[int]] = []
-    for coeffs, rhs in list(eq_rows) + list(ge_rows):
-        if len(coeffs) != nvars:
-            raise ValueError("constraint width does not match the objective")
-    for coeffs, rhs in eq_rows:
-        rows.append(_integer_row(coeffs, [0] * nge, rhs))
-    for k, (coeffs, rhs) in enumerate(ge_rows):
+    for k, (coeffs, rhs) in enumerate((*eq_rows, *ge_rows)):
+        scaled, den = _integer_row([*coeffs, rhs])
         slack = [0] * nge
-        slack[k] = -1
-        rows.append(_integer_row(coeffs, slack, rhs))
+        if k >= neq:
+            slack[k - neq] = -den
+        rows.append(scaled[:-1] + slack + scaled[-1:])
     for row in rows:
         if row[-1] < 0:
             for j in range(len(row)):
                 row[j] = -row[j]
 
-    # Initial basis: a slack column where possible (it is a unit column; a
-    # nonpositive coefficient is fixed by flipping the row, legal only when
-    # the right side is zero), an artificial column otherwise.
+    # Initial basis: the slack column of a >= row (a unit column; a negative
+    # coefficient is fixed by flipping the row, legal only when the right
+    # side is zero), an artificial column otherwise.
     basis: list[int] = []
     artificial: list[int] = []
     for r, row in enumerate(rows):
-        col = next(
-            (j for j in range(nvars, width) if row[j] and all(o[j] == 0 for o in rows if o is not row)),
-            None,
-        )
-        if col is not None and (row[col] > 0 or row[-1] == 0):
+        col = nvars + r - neq
+        if r >= neq and (row[col] > 0 or row[-1] == 0):
             if row[col] < 0:
                 for j in range(len(row)):
                     row[j] = -row[j]
@@ -76,17 +73,14 @@ def maximize(
         basis[r] = width + k
 
     if artificial:
-        cost = [Fraction(0)] * (total_width + 1)
+        # Phase one minimizes the sum of the artificials; priced out against
+        # their rows (basic coefficient 1) the reduced costs are integers.
+        cost = [0] * (total_width + 1)
+        for r in artificial:
+            cost = [c - v for c, v in zip(cost, rows[r])]
         for k in range(len(artificial)):
-            cost[width + k] = Fraction(1)
-        for r, row in enumerate(rows):
-            factor = cost[basis[r]]
-            if factor:
-                d = Fraction(row[basis[r]])
-                for j in range(total_width + 1):
-                    cost[j] -= factor * row[j] / d
-        icost = _integer_cost(cost)
-        _pivot_to_optimum(rows, icost, basis)
+            cost[width + k] += 1
+        _pivot_to_optimum(rows, cost, basis)
         if any(row[-1] != 0 for r, row in enumerate(rows) if basis[r] >= width):
             return None
         # Drive leftover artificials out of the basis; an all-zero row is
@@ -111,7 +105,7 @@ def maximize(
             d = Fraction(row[basis[r]])
             for j in range(width + 1):
                 cost[j] -= factor * row[j] / d
-    icost = _integer_cost(cost)
+    icost = _integer_row(cost)[0]
     _pivot_to_optimum(rows, icost, basis)
 
     point = [Fraction(0)] * nvars
@@ -122,33 +116,16 @@ def maximize(
     return value, tuple(point)
 
 
-def _integer_row(
-    coeffs: Sequence[Fraction | int], slack: Sequence[int], rhs: Fraction | int
-) -> list[int]:
-    fr = [Fraction(c) for c in coeffs] + [Fraction(s) for s in slack] + [Fraction(rhs)]
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return [int(x * den) for x in fr]
-
-
-def _integer_cost(cost: list[Fraction]) -> list[int]:
-    den = 1
-    for x in cost:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return [int(x * den) for x in cost]
+def _integer_row(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """The values times the lcm of their denominators, and that lcm."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def _primitive(row: list[int]) -> None:
-    g = 0
-    for v in row:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return
+    g = gcd(*row)
     if g > 1:
-        for j in range(len(row)):
-            row[j] //= g
+        row[:] = [v // g for v in row]
 
 
 def _pivot_to_optimum(
@@ -163,15 +140,11 @@ def _pivot_to_optimum(
     bland = False
     stall = 0
     while True:
-        enter = None
         if bland:
             enter = next((j for j in range(ncols) if cost[j] < 0), None)
         else:
-            best = 0
-            for j in range(ncols):
-                if cost[j] < best:
-                    best = cost[j]
-                    enter = j
+            best = min(cost[:ncols])  # Dantzig: the first most negative
+            enter = cost.index(best) if best < 0 else None
         if enter is None:
             return
         leave = None
@@ -209,20 +182,17 @@ def _pivot(
     pivot_row = rows[r]
     piv = pivot_row[j]
     if piv < 0:
-        for k in range(len(pivot_row)):
-            pivot_row[k] = -pivot_row[k]
+        pivot_row[:] = [-v for v in pivot_row]
         piv = -piv
     for other in rows:
         if other is pivot_row or other[j] == 0:
             continue
         f = other[j]
-        for k in range(len(other)):
-            other[k] = other[k] * piv - pivot_row[k] * f
+        other[:] = [a * piv - b * f for a, b in zip(other, pivot_row)]
         _primitive(other)
     if cost is not None and cost[j] != 0:
         f = cost[j]
-        for k in range(len(cost)):
-            cost[k] = cost[k] * piv - pivot_row[k] * f
+        cost[:] = [a * piv - b * f for a, b in zip(cost, pivot_row)]
         _primitive(cost)
     _primitive(pivot_row)
     basis[r] = j

@@ -94,6 +94,57 @@ def random_empty(rng: random.Random, n: int) -> LengthVector:
             return r
 
 
+def odd_perimeter_point(rng: random.Random, n: int, top: int = 200) -> LengthVector:
+    """Integer sides 1..top with an odd sum, scaled to perimeter 1.
+
+    No subset sum is half of an odd total, so the point is generic without
+    asking the library.
+    """
+    values = [rng.randint(1, top) for _ in range(n)]
+    if sum(values) % 2 == 0:
+        values[rng.randrange(n)] += 1
+    total = sum(values)
+    return LengthVector.from_values([Fraction(v, total) for v in values])
+
+
+def short_masks(r: LengthVector) -> set[int]:
+    """Short proper subsets of a generic r, one Fraction sum per subset.
+
+    Oracle for the chamber layer: no bitset, no signature.
+    """
+    n = r.n
+    out = set()
+    for mask in range(1, (1 << n) - 1):
+        inside = sum((x for i, x in enumerate(r) if mask >> i & 1), Fraction(0))
+        assert 2 * inside != r.perimeter, "oracle given a non-generic point"
+        if 2 * inside < r.perimeter:
+            out.add(mask)
+    return out
+
+
+def maximal_masks(n: int, shorts: set[int]) -> set[int]:
+    """Members of a family with no member one index larger containing them."""
+    return {
+        m for m in shorts
+        if not any(m | 1 << i in shorts for i in range(n) if not m >> i & 1)
+    }
+
+
+def hausmann_knutson_betti(n: int, shorts: set[int], k: int = 0) -> tuple[int, ...]:
+    """(b_0, b_2, ..., b_2(n-3)) counted from the short sets containing side k.
+
+    Hausmann-Knutson: the Poincare polynomial is
+    sum over short J containing k of (t^(2(|J|-1)) - t^(2(n-|J|-1))) / (1 - t^2),
+    so b_2j is the number of such J with |J| - 1 <= j minus the number with
+    n - |J| - 1 <= j.
+    """
+    return tuple(
+        sum(1 for m in shorts if m >> k & 1 and m.bit_count() - 1 <= j)
+        - sum(1 for m in shorts if m >> k & 1 and n - m.bit_count() - 1 <= j)
+        for j in range(n - 2)
+    )
+
+
 def direct_volume_value(
     r: LengthVector,
     operator: MultiPoly | None = None,

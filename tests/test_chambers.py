@@ -30,7 +30,16 @@ from polygonspace import (
     signature,
 )
 
-from conftest import BLOWUP_R, CP2_R, random_empty, random_generic, random_nonempty
+from conftest import (
+    BLOWUP_R,
+    CP2_R,
+    maximal_masks,
+    odd_perimeter_point,
+    random_empty,
+    random_generic,
+    random_nonempty,
+    short_masks,
+)
 
 F = Fraction
 
@@ -185,6 +194,40 @@ def test_signature_validation() -> None:
         ChamberSignature.from_lists(4, [[1]])  # pairs left unclassified
     with pytest.raises(ValueError):
         ChamberSignature(4, ())
+
+
+def test_signature_matches_brute_force_maximality() -> None:
+    rng = random.Random(401)
+    for k in range(200):
+        n = 3 + k % 8
+        r = odd_perimeter_point(rng, n)
+        shorts = short_masks(r)
+        sig = signature(r)
+        assert {s.mask for s in sig.maximal_shorts} == maximal_masks(n, shorts)
+        assert list(sig.maximal_shorts) == sorted(sig.maximal_shorts, key=lambda s: s.sort_key)
+        assert {s.mask for s in sig.short_sets()} == shorts
+        assert {s.mask for s in sig.long_sets()} == set(range(1, (1 << n) - 1)) - shorts
+        assert [s.mask for s in long_sets(r)] == [s.mask for s in sig.long_sets()]
+        assert sig.is_empty() == is_empty(r) == any(1 << i not in shorts for i in range(n))
+
+
+def test_signature_validation_rejects_bad_families_n6() -> None:
+    sig = signature(LengthVector.parse("1,2,3,4,5,6"))  # odd perimeter: generic
+    lists = sig.to_lists()
+    top = next(ix for ix in lists if len(ix) > 1)
+    with pytest.raises(ValueError, match="is contained in"):
+        ChamberSignature.from_lists(6, lists + [top[:-1]])
+    with pytest.raises(ValueError, match="do not classify the pair"):
+        ChamberSignature.from_lists(6, [ix for ix in lists if ix != top])
+    # a long set holding no short set: listing it makes both of its pair short
+    free = next(L for L in sig.long_sets() if not any(s.is_subset_of(L) for s in sig.maximal_shorts))
+    with pytest.raises(ValueError, match="do not classify the pair"):
+        ChamberSignature.from_lists(6, lists + [list(free.indices)])
+    with pytest.raises(ValueError, match="duplicate"):
+        ChamberSignature.from_lists(6, lists + [top])
+    with pytest.raises(ValueError, match="at least one"):
+        ChamberSignature.from_lists(6, [])
+    assert ChamberSignature.from_lists(6, list(reversed(lists))) == sig
 
 
 def test_signature_round_trip_and_flip(cp2_sig: ChamberSignature) -> None:
@@ -349,6 +392,28 @@ def test_segment_crossings_reverse_symmetry() -> None:
         done += 1
 
 
+def test_segment_crossings_match_direct_fractions() -> None:
+    rng = random.Random(419)
+    for k in range(40):
+        n = 4 + k % 6
+        a, b = odd_perimeter_point(rng, n, 60), odd_perimeter_point(rng, n, 60)
+        expected = []
+        for mask in range(1, (1 << n) - 1, 2):
+            I = IndexSet(n, mask)
+            e0, e1 = epsilon(a, I), epsilon(b, I)
+            if (e0 > 0) != (e1 > 0):
+                expected.append((e0 / (e0 - e1), I if e0 > 0 else I.complement))
+        expected.sort(key=lambda c: c[0])
+        try:
+            crossings = segment_crossings(a, b)
+        except NonGenericSegment as exc:
+            ts = [t for t, _ in expected]
+            assert ts.count(exc.t) > 1
+            continue
+        assert [(t, w.index_set) for t, w in crossings] == expected
+        assert all(type(t) is Fraction for t, _ in crossings)
+
+
 def test_segment_crossings_errors() -> None:
     with pytest.raises(ValueError, match="mismatched lengths"):
         segment_crossings(LengthVector.parse("1,1,1,1/2"), CP2_R)
@@ -431,6 +496,27 @@ def test_graph_edges_are_facet_adjacencies(graph4, graph5) -> None:
             assert src.signature.adjacent_pair_with(dst.signature) == wall.index_set
             assert epsilon(src.representative, wall.index_set) > 0
             assert epsilon(dst.representative, wall.index_set) < 0
+
+
+def test_flip_and_adjacency_match_set_definitions(graph5) -> None:
+    n = 5
+    full = (1 << n) - 1
+    shorts = [{s.mask for s in node.signature.short_sets()} for node in graph5.nodes]
+    for source, target, wall in graph5.edges:
+        I = wall.index_set
+        expected = shorts[source] - {full ^ I.mask} | {I.mask}
+        assert expected == shorts[target]
+        flipped = graph5.nodes[source].signature.flip(I)
+        assert {s.mask for s in flipped.maximal_shorts} == maximal_masks(n, expected)
+        assert flipped == graph5.nodes[target].signature
+    for i, a in enumerate(graph5.nodes):
+        for j, b in enumerate(graph5.nodes):
+            differ = [m for m in range(1, full, 2) if (m in shorts[i]) != (m in shorts[j])]
+            expected = None
+            if len(differ) == 1:
+                m = differ[0]
+                expected = IndexSet(n, full ^ m if m in shorts[i] else m)
+            assert a.signature.adjacent_pair_with(b.signature) == expected
 
 
 def test_graph_contains_sampled_chambers(graph4, graph5) -> None:

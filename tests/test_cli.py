@@ -281,6 +281,23 @@ def test_exit_usage_errors() -> None:
     assert invoke(["chambers", "--n", "77"])[0] == 4
 
 
+def test_per_point_commands_cap_the_side_count() -> None:
+    sides = ",".join(str(k) for k in range(1, 26))  # 25 sides, odd perimeter
+    for argv in (
+        ["validate", "--r", sides],
+        ["analyze", "--r", sides],
+        ["betti", "--r", sides, "--method", "wallcross"],
+        ["wallcross", "--from", sides, "--to", sides],
+        ["pd-class", "--set", "1,2", "--n", "25"],
+    ):
+        code, out, err = invoke(argv)
+        assert code == 4 and out == ""
+        assert err.startswith("error: 25 sides exceed the limit of") and err.count("\n") == 1
+        assert "Traceback" not in err
+    assert cli.MAX_SIDES >= 12  # the benchmark's path walks run at n = 12
+    assert invoke(["analyze", "--r", ",".join(["1"] * (cli.MAX_SIDES - 1) + ["2"])])[0] == 0
+
+
 def test_pairing_rejects_malformed_records() -> None:
     for records in ('[{"coef":"1","exps":[1,0,0,0,0]}]', "[1]"):
         code, out, err = invoke(["pairing", "--r", BLOWUP, "--a", records, "--b", "x3"])

@@ -28,7 +28,14 @@ from polygonspace import (
     validate_chamber,
 )
 
-from conftest import BLOWUP_R, CP2_R, random_nonempty
+from conftest import (
+    BLOWUP_R,
+    CP2_R,
+    hausmann_knutson_betti,
+    odd_perimeter_point,
+    random_nonempty,
+    short_masks,
+)
 
 F = Fraction
 
@@ -219,6 +226,16 @@ def test_betti_via_path_agrees_with_apolarity_sampled() -> None:
         n = rng.randint(4, 6)
         r = random_nonempty(rng, n)
         assert betti_via_path(r) == betti_numbers(signature(r), HOM)
+
+
+def test_betti_via_path_matches_hausmann_knutson_large_n() -> None:
+    rng = random.Random(421)
+    for n in (9, 9, 10, 10, 11, 11, 12, 12):
+        shorts: set[int] = set()
+        while not all(1 << i in shorts for i in range(n)):  # nonempty
+            r = odd_perimeter_point(rng, n)
+            shorts = short_masks(r)
+        assert betti_via_path(r) == hausmann_knutson_betti(n, shorts)
 
 
 # ----------------------------------------------------------------- validation
