@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm
 from operator import add
 
 from polygonspace.chambers import ChamberSignature, IndexSet
@@ -28,6 +28,7 @@ from polygonspace.ratpoly import (
 )
 from polygonspace.volume import (
     Convention,
+    Presented,
     VolumePolynomial,
     WrongTotalDegree,
     volume_polynomial,
@@ -79,33 +80,33 @@ class ApolarPresentation:
     ann_generators: tuple[tuple[int, tuple[MultiPoly, ...]], ...]
 
 
-def _presented(vp: VolumePolynomial, conv: Convention) -> MultiPoly:
-    return conv.apply(vp.v)
+def _image_monomials(pres: Presented, d: int) -> list[Exponents]:
+    """The monomials γ at which Q(∂)poly can be nonzero, for Q of degree d.
+
+    A single graded piece when poly is homogeneous, every lower degree
+    otherwise.
+    """
+    top = max(pres.poly.degree() - d, 0)
+    degrees = [top] if pres.homogeneous and not pres.poly.is_zero else range(top + 1)
+    return [gamma for k in degrees for gamma in monomial_exponents(pres.poly.nvars, k)]
 
 
-def _apolarity_matrix(poly: MultiPoly, d: int) -> tuple[list[Exponents], list[list[int]]]:
+def _apolarity_matrix(pres: Presented, d: int) -> tuple[list[Exponents], list[list[int]]]:
     """Integer matrix of Q ↦ Q(∂)poly restricted to degree-d monomials Q.
 
     Columns are the degree-d monomials α in graded-lex order, rows the
-    monomials γ of the image space (a single graded piece when poly is
-    homogeneous, every lower degree otherwise).  ∂^α poly has coefficient
-    c_{α+γ}·(α+γ)!/γ! at x^γ; row γ is scaled by γ! and every row by one
-    common denominator D, so the entry is the integer D·c_{α+γ}·(α+γ)!, a
-    Hankel-type matrix read off the coefficients.  Nonzero row scaling
-    keeps the rank and the right kernel, which is the degree-d annihilator
-    in graded-lex coordinates.
+    monomials γ of the image space.  ∂^α poly has coefficient
+    c_{α+γ}·(α+γ)!/γ! at x^γ; row γ is scaled by γ! and every row by the
+    table's common denominator D, so the entry is the Hankel table's
+    w_{α+γ} = D·c_{α+γ}·(α+γ)!.  Nonzero row scaling keeps the rank and the
+    right kernel, which is the degree-d annihilator in graded-lex
+    coordinates.
     """
-    weighted = {e: c * prod(factorial(k) for k in e) for e, c in poly.terms()}
-    scale = lcm(*(c.denominator for c in weighted.values()))
-    hankel = {e: int(c * scale) for e, c in weighted.items()}
-    nvars = poly.nvars
-    domain = monomial_exponents(nvars, d)
-    top = max(poly.degree() - d, 0)
-    degrees = [top] if poly.is_homogeneous() and not poly.is_zero else range(top + 1)
+    hankel = pres.hankel
+    domain = monomial_exponents(pres.poly.nvars, d)
     mat = [
         [hankel.get(tuple(map(add, alpha, gamma)), 0) for alpha in domain]
-        for k in degrees
-        for gamma in monomial_exponents(nvars, k)
+        for gamma in _image_monomials(pres, d)
     ]
     return domain, mat
 
@@ -118,13 +119,13 @@ def catalecticant_rank(vp: VolumePolynomial, d: int, conv: Convention) -> int:
     n = vp.chamber.n
     if not 0 <= d <= n - 3:
         raise DegreeOutOfRange(f"degree {d} outside 0..{n - 3}")
-    return _rank(_presented(vp, conv), d)
+    return _rank(vp.presented(conv), d)
 
 
-def _rank(poly: MultiPoly, d: int) -> int:
-    if poly.is_zero:
+def _rank(pres: Presented, d: int) -> int:
+    if pres.poly.is_zero:
         return 0
-    domain, mat = _apolarity_matrix(poly, d)
+    domain, mat = _apolarity_matrix(pres, d)
     return matrix_rank(mat, ncols=len(domain))
 
 
@@ -139,17 +140,17 @@ def betti_numbers(sig: ChamberSignature, conv: Convention) -> tuple[int, ...]:
     """
     if sig.is_empty():
         raise EmptyChamber(f"no cohomology: {sig} has a long singleton")
-    poly = _presented(volume_polynomial(sig), conv)
-    return tuple(_rank(poly, d) for d in range(sig.n - 2))
+    pres = volume_polynomial(sig).presented(conv)
+    return tuple(_rank(pres, d) for d in range(sig.n - 2))
 
 
-def _rank_and_annihilator(poly: MultiPoly, d: int) -> tuple[int, list[dict[Exponents, Fraction]]]:
+def _rank_and_annihilator(pres: Presented, d: int) -> tuple[int, list[dict[Exponents, Fraction]]]:
     """Catalecticant rank and the canonical basis of {Q of degree d : Q(∂)poly = 0}.
 
     Each basis polynomial is a dict in ascending graded-lex order; its last
     key is its free monomial, where its coefficient is 1.
     """
-    domain, mat = _apolarity_matrix(poly, d)
+    domain, mat = _apolarity_matrix(pres, d)
     rank, kernel = sparse_kernel(mat, ncols=len(domain))
     return rank, [{domain[col]: c for col, c in vec.items()} for vec in kernel]
 
@@ -214,12 +215,13 @@ def _ranks_and_generators(
     """
     if sig.is_empty():
         raise EmptyChamber(f"no cohomology: {sig} has a long singleton")
-    poly = _presented(volume_polynomial(sig), conv)
-    ranks, kernels = zip(*(_rank_and_annihilator(poly, d) for d in range(sig.n - 1)))
+    pres = volume_polynomial(sig).presented(conv)
+    nvars = pres.poly.nvars
+    ranks, kernels = zip(*(_rank_and_annihilator(pres, d) for d in range(sig.n - 1)))
     generators = tuple(
         (d, tuple(
-            MultiPoly(poly.nvars, kernels[d][k])
-            for k in _reduce_modulo(kernels[d], kernels[d - 1], poly.nvars)
+            MultiPoly._from_terms(nvars, kernels[d][k])
+            for k in _reduce_modulo(kernels[d], kernels[d - 1], nvars)
         ))
         for d in range(1, sig.n - 1)
     )
@@ -242,16 +244,33 @@ def annihilator_generators(
     return _ranks_and_generators(sig, conv)[1]
 
 
+def _integer_terms(poly: MultiPoly) -> tuple[int, list[tuple[Exponents, int]]]:
+    """(D, terms of D·poly), with D the lcm of the coefficients' denominators."""
+    den = lcm(*(c.denominator for _, c in poly.terms()))
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in poly.terms()]
+
+
 def is_zero_class(
     c: CohomologyClass, sig: ChamberSignature, conv: Convention
 ) -> bool:
-    """True iff the class annihilates the chamber polynomial (is zero in H*)."""
-    poly = _presented(volume_polynomial(sig), conv)
-    if c.nvars != poly.nvars:
+    """True iff the class annihilates the chamber polynomial (is zero in H*).
+
+    Q(∂)v has coefficient Σ_α q_α·w_{α+γ}/(D·γ!) at x^γ (see `Presented`),
+    so Q is zero exactly when each of these integer sums vanishes.
+    """
+    pres = volume_polynomial(sig).presented(conv)
+    if c.nvars != pres.poly.nvars:
         raise ValueError(
-            f"class has {c.nvars} variables, convention expects {poly.nvars}"
+            f"class has {c.nvars} variables, convention expects {pres.poly.nvars}"
         )
-    return c.poly.apply_operator(poly).is_zero
+    if c.poly.is_zero or c.degree > pres.poly.degree():
+        return True
+    hankel = pres.hankel
+    _, q = _integer_terms(c.poly)
+    return not any(
+        sum(qa * hankel.get(tuple(map(add, alpha, gamma)), 0) for alpha, qa in q)
+        for gamma in _image_monomials(pres, c.degree)
+    )
 
 
 def poincare_pairing(
@@ -260,32 +279,48 @@ def poincare_pairing(
     sig: ChamberSignature,
     conv: Convention,
 ) -> Fraction:
-    """⟨a·b, [M(r)]⟩ for complementary degrees (deg a + deg b = n−3)."""
+    """⟨a·b, [M(r)]⟩ for complementary degrees (deg a + deg b = n−3).
+
+    The top derivative (a·b)(∂)v is the constant Σ_{α,β} a_α·b_β·w_{α+β}/D.
+    """
     if a.degree + b.degree != sig.n - 3:
         raise WrongTotalDegree(
             f"degrees {a.degree}+{b.degree} != n-3 = {sig.n - 3}"
         )
-    poly = _presented(volume_polynomial(sig), conv)
-    if a.nvars != poly.nvars or b.nvars != poly.nvars:
+    pres = volume_polynomial(sig).presented(conv)
+    if a.nvars != pres.poly.nvars or b.nvars != pres.poly.nvars:
         raise ValueError("class variable count does not match the convention")
-    return (a.poly * b.poly).apply_operator(poly).constant_value()
+    hankel = pres.hankel
+    da, ia = _integer_terms(a.poly)
+    db, ib = _integer_terms(b.poly)
+    total = sum(
+        ca * cb * hankel.get(tuple(map(add, alpha, beta)), 0)
+        for alpha, ca in ia
+        for beta, cb in ib
+    )
+    return Fraction(total, pres.scale * da * db)
 
 
 def pd_class(I: IndexSet, base: int) -> CohomologyClass:
     """Poincaré dual of the sub-polygon-space where the sides of I align.
 
     For |I| = p the class is (−1)^{p−1}·∏_{j∈I, j≠base}(x_j + x_base),
-    of degree p−1; `base` is 1-based and must lie in I.
+    of degree p−1; `base` is 1-based and must lie in I.  Expanded, it is
+    (−1)^{p−1}·Σ_S x^S·x_base^{p−1−|S|} over the subsets S of I∖{base}:
+    2^{p−1} distinct monomials, built directly.
     """
     if not I.contains(base):
         raise BaseNotInSet(f"base {base} not in {I}")
-    n = I.n
-    out = MultiPoly.constant(n, -1 if I.p % 2 == 0 else 1)
-    xb = MultiPoly.variable(n, base - 1)
-    for j in I.indices:
-        if j != base:
-            out = out * (MultiPoly.variable(n, j - 1) + xb)
-    return CohomologyClass(out)
+    others = [j - 1 for j in I.indices if j != base]
+    sign = Fraction(-1 if I.p % 2 == 0 else 1)
+    terms = {}
+    for subset in range(1 << len(others)):
+        e = [0] * I.n
+        e[base - 1] = len(others) - subset.bit_count()
+        for k, j in enumerate(others):
+            e[j] = subset >> k & 1
+        terms[tuple(e)] = sign
+    return CohomologyClass(MultiPoly._from_terms(I.n, terms))
 
 
 def normal_bundle_chern(I: IndexSet, base: int) -> CohomologyClass:

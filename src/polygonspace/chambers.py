@@ -180,8 +180,8 @@ class IndexSet:
         return (self.p, self.indices)
 
     def contains(self, index: int) -> bool:
-        """Membership of a 1-based index."""
-        return bool(self.mask >> (index - 1) & 1)
+        """Membership of a 1-based index (False outside 1..n)."""
+        return 1 <= index <= self.n and bool(self.mask >> (index - 1) & 1)
 
     def is_subset_of(self, other: IndexSet) -> bool:
         return self.mask & ~other.mask == 0

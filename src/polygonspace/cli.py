@@ -72,6 +72,10 @@ EXIT_USAGE = 4
 # and 1.7-65 s (random to nearly equal lengths; 2-core x86, Python 3.11).
 MAX_SIDES = 16
 
+# --decimal renders through 10^K; beyond this many digits that integer
+# alone would dwarf the document.
+MAX_DECIMAL_DIGITS = 10_000
+
 
 class _UsageError(Exception):
     """Replaces argparse's SystemExit so run() can map it to exit code 4."""
@@ -121,6 +125,8 @@ def _decimal_text(value: Fraction, digits: int) -> str:
     """Round-half-up decimal rendering, explicitly marked approximate."""
     if digits < 1:
         raise ValueError("--decimal needs at least 1 digit")
+    if digits > MAX_DECIMAL_DIGITS:
+        raise ValueError(f"--decimal takes at most {MAX_DECIMAL_DIGITS} digits")
     v = Fraction(value)
     sign = "-" if v < 0 else ""
     scaled = abs(v) * 10**digits
@@ -198,7 +204,11 @@ def _parse_poly(text: str, names: Sequence[str]) -> MultiPoly:
     nvars = len(names)
     stripped = text.strip()
     if stripped.startswith("["):
-        return MultiPoly.from_records(nvars, json.loads(stripped))
+        try:
+            records = json.loads(stripped)
+        except RecursionError:
+            raise ValueError("polynomial records are nested too deeply") from None
+        return MultiPoly.from_records(nvars, records)
     pos = {name: i for i, name in enumerate(names)}
     tokens: list[str] = []
     i = 0
@@ -305,7 +315,7 @@ def _cmd_volume(args: argparse.Namespace) -> tuple[dict[str, object], int]:
         "r": _lengths_doc(r),
         "convention": str(conv),
         "variables": names,
-        "poly": _poly_doc(conv.apply(vp.v), names),
+        "poly": _poly_doc(vp.presented(conv).poly, names),
         "value_at_r": format_rational(value),
         "scale": vp.scale_note,
     }

@@ -18,6 +18,7 @@ intermediate coefficient growth compared to naive rational elimination.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -40,12 +41,20 @@ __all__ = [
 ]
 
 
+# Signed integer, p/q or exact decimal.  Fraction alone also takes exponent
+# notation, and "1e999999999999" would build that power of ten in full.
+_RATIONAL = re.compile(r"[+-]?(?:\d+(?:/\d+)?|\d*\.\d+|\d+\.)")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", integer, or exact decimal text into a Fraction."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+    stripped = text.strip()
+    if _RATIONAL.fullmatch(stripped):
+        try:
+            return Fraction(stripped)
+        except ZeroDivisionError:
+            pass
+    raise ValueError(f"not a rational number: {text!r}")
 
 
 def format_rational(value: Scalar) -> str:
@@ -85,8 +94,9 @@ def _as_exponents(alpha: MultiIndex | Sequence[int], nvars: int, what: str) -> E
     return exps
 
 
-def _canonical_key(exps: Exponents) -> tuple[int, Exponents]:
-    return (sum(exps), exps)
+def _sorted_terms(terms: Mapping[Exponents, Fraction]) -> tuple[tuple[Exponents, Fraction], ...]:
+    """Terms in canonical order: higher total degree first, then lex-descending."""
+    return tuple(sorted(terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True))
 
 
 class MultiPoly:
@@ -118,9 +128,21 @@ class MultiPoly:
                 acc[e] = c
             else:
                 acc.pop(e, None)
-        self_terms = tuple(sorted(acc.items(), key=lambda t: _canonical_key(t[0]), reverse=True))
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", self_terms)
+        object.__setattr__(self, "_terms", _sorted_terms(acc))
+
+    @classmethod
+    def _from_terms(cls, nvars: int, terms: Mapping[Exponents, Fraction]) -> MultiPoly:
+        """A polynomial from terms the package built itself, without checks.
+
+        ``terms`` must map distinct tuples of ``nvars`` non-negative ints to
+        nonzero Fractions; they are only put in canonical order.  Every
+        outside input goes through the validating constructor instead.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "_terms", _sorted_terms(terms))
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MultiPoly is immutable")
@@ -214,12 +236,12 @@ class MultiPoly:
                 acc[e] = s
             else:
                 acc.pop(e, None)
-        return MultiPoly(self.nvars, acc)
+        return MultiPoly._from_terms(self.nvars, acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly(self.nvars, [(e, -c) for e, c in self._terms])
+        return MultiPoly._from_terms(self.nvars, {e: -c for e, c in self._terms})
 
     def __sub__(self, other: MultiPoly | Scalar) -> MultiPoly:
         if isinstance(other, (int, Fraction)):
@@ -235,7 +257,7 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return MultiPoly.zero(self.nvars)
-            return MultiPoly(self.nvars, [(e, c * other) for e, c in self._terms])
+            return MultiPoly._from_terms(self.nvars, {e: c * other for e, c in self._terms})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._require_same_shape(other)
@@ -248,7 +270,7 @@ class MultiPoly:
                     acc[e] = s
                 else:
                     acc.pop(e, None)
-        return MultiPoly(self.nvars, acc)
+        return MultiPoly._from_terms(self.nvars, acc)
 
     __rmul__ = __mul__
 
@@ -274,15 +296,16 @@ class MultiPoly:
                 for k in range(ai):
                     factor *= ei - k
             out[tuple(ei - ai for ei, ai in zip(e, exps))] = c * factor
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._from_terms(self.nvars, out)
 
     def apply_operator(self, target: MultiPoly) -> MultiPoly:
         """Apply self as a constant-coefficient differential operator to target."""
         self._require_same_shape(target)
-        out = MultiPoly.zero(self.nvars)
+        acc: dict[Exponents, Fraction] = {}
         for e, c in self._terms:
-            out = out + c * target.differentiate(e)
-        return out
+            for de, dc in target.differentiate(e)._terms:
+                acc[de] = acc.get(de, 0) + c * dc
+        return MultiPoly._from_terms(self.nvars, {e: c for e, c in acc.items() if c})
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         """Exact value at a rational point."""
@@ -321,7 +344,7 @@ class MultiPoly:
             for pe, pc in powers[k]._terms:
                 key = tuple(a + b for a, b in zip(rest, pe))
                 acc[key] = acc.get(key, 0) + c * pc
-        return MultiPoly(self.nvars - 1, acc)
+        return MultiPoly._from_terms(self.nvars - 1, {e: c for e, c in acc.items() if c})
 
     def permute(self, perm: Sequence[int]) -> MultiPoly:
         """Relabel variables: variable i becomes variable perm[i]."""
@@ -333,7 +356,7 @@ class MultiPoly:
             for i, k in enumerate(e):
                 ne[perm[i]] = k
             out[tuple(ne)] = c
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._from_terms(self.nvars, out)
 
     # -- serialization -----------------------------------------------------
 

@@ -10,13 +10,13 @@ computes the jump between the polynomials of two adjacent chambers.
 All volumes are reported without the transcendental prefactor: the true
 symplectic volume is (2π)^(n−3) times the rational value computed here.
 Every polynomial is stored in the homogeneous convention (all n variables);
-presentation conventions are applied at operation time.
+another convention is applied on first use and kept with the polynomial.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -110,17 +110,47 @@ class Convention:
         return MultiIndex(alpha.exponents[: j - 1] + alpha.exponents[j:])
 
 
+class Presented:
+    """A chamber polynomial in one convention, with its integer Hankel table.
+
+    ``hankel`` maps each exponent e of ``poly`` to w_e = D·c_e·e!, where c_e
+    is the coefficient and D = ``scale`` the least common denominator of the
+    c_e·e!.  Since ∂^α x^e = e!/(e−α)!·x^{e−α}, the coefficient of x^γ in
+    Q(∂)poly is Σ_α q_α·w_{α+γ}/(D·γ!), so membership tests, pairings and
+    catalecticants read this table instead of differentiating.
+    """
+
+    def __init__(self, poly: MultiPoly) -> None:
+        weighted = {e: c * math.prod(math.factorial(k) for k in e) for e, c in poly.terms()}
+        scale = math.lcm(*(c.denominator for c in weighted.values()))
+        self.poly = poly
+        self.scale = scale
+        self.hankel = {e: c.numerator * (scale // c.denominator) for e, c in weighted.items()}
+        self.homogeneous = poly.is_homogeneous()
+
+
 @dataclass(frozen=True)
 class VolumePolynomial:
     """The chamber's volume polynomial, homogeneous of degree n−3 in r₁..rₙ.
 
     The true volume is (2π)^(n−3) times v; identically zero on empty
-    chambers.
+    chambers.  Its presentation in each convention is built on first use
+    and kept here, so it lives exactly as long as the cached polynomial.
     """
 
     chamber: ChamberSignature
     v: MultiPoly
     scale_note: str = SCALE_NOTE
+    _presented: dict[Convention, Presented] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def presented(self, conv: Convention) -> Presented:
+        """v in the given convention, with its Hankel table (built once)."""
+        out = self._presented.get(conv)
+        if out is None:
+            out = self._presented[conv] = Presented(conv.apply(self.v))
+        return out
 
 
 # A rebuild takes about 3 ms at n = 7 and 30 ms at n = 9 (2-core x86,
@@ -164,7 +194,7 @@ def volume_polynomial(sig: ChamberSignature) -> VolumePolynomial:
         total = w[sum(1 << i for i, k in enumerate(e) if k % 2)]
         if total:
             terms[e] = Fraction(sign * total, 2 * math.prod(factorials[k] for k in e))
-    return VolumePolynomial(sig, MultiPoly(n, terms))
+    return VolumePolynomial(sig, MultiPoly._from_terms(n, terms))
 
 
 def volume_value(r: LengthVector) -> Fraction:
@@ -177,7 +207,7 @@ def derivative_polynomial(
 ) -> MultiPoly:
     """∂^α of the chamber polynomial presented in the given convention."""
     reduced = conv.reduce_multiindex(alpha, vp.chamber.n)
-    return conv.apply(vp.v).differentiate(reduced)
+    return vp.presented(conv).poly.differentiate(reduced)
 
 
 def intersection_number(

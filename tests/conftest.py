@@ -318,3 +318,20 @@ def same_span(a: list[MultiPoly], b: list[MultiPoly], nvars: int, degree: int) -
     ra = span_rank(a, nvars, degree)
     rb = span_rank(b, nvars, degree)
     return ra == rb == span_rank(a + b, nvars, degree)
+
+
+def oracle_is_zero(c: MultiPoly, sig: ChamberSignature, conv: Convention) -> bool:
+    """Q(d)v = 0, with v presented afresh and the operator applied term by term.
+
+    Goes through ``MultiPoly.apply_operator`` (one ``differentiate`` per
+    term of Q), not the chamber's Hankel table.  Oracle for
+    apolar.is_zero_class.
+    """
+    return c.apply_operator(conv.apply(volume_polynomial(sig).v)).is_zero
+
+
+def oracle_pairing(
+    a: MultiPoly, b: MultiPoly, sig: ChamberSignature, conv: Convention
+) -> Fraction:
+    """(a*b)(d)v by ``apply_operator``, a constant.  Oracle for poincare_pairing."""
+    return (a * b).apply_operator(conv.apply(volume_polynomial(sig).v)).constant_value()

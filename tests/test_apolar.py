@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -33,6 +36,8 @@ from polygonspace import (
 from polygonspace.ratpoly import matrix_rank, monomial_exponents, rank_and_kernel
 
 from conftest import (
+    oracle_is_zero,
+    oracle_pairing,
     random_nonempty,
     reference_annihilator_generators,
     same_span,
@@ -344,6 +349,9 @@ def test_normal_bundle_chern_formulas() -> None:
 def test_pd_class_base_must_belong() -> None:
     with pytest.raises(BaseNotInSet, match=r"base 2 not in \{1,3\}"):
         pd_class(IndexSet.from_indices(5, (1, 3)), 2)
+    for outside in (0, -1, 6):
+        with pytest.raises(BaseNotInSet, match=rf"base {outside} not in"):
+            pd_class(IndexSet.from_indices(5, (1, 3, 5)), outside)
     with pytest.raises(BaseNotInSet):
         normal_bundle_chern(IndexSet.from_indices(5, (1, 3)), 4)
 
@@ -364,6 +372,120 @@ def test_is_zero_class_examples(blowup_sig) -> None:
     assert is_zero_class(cls(var(5, 1) ** 3), blowup_sig, HOM)
     with pytest.raises(ValueError, match="class has 4 variables"):
         is_zero_class(cls(var(4, 1)), blowup_sig, HOM)
+
+
+def _random_class(rng: random.Random, nvars: int, d: int) -> MultiPoly:
+    monomials = monomial_exponents(nvars, d)
+    picked = rng.sample(monomials, rng.randint(1, min(4, len(monomials))))
+    return MultiPoly(
+        nvars, {e: F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6)) for e in picked}
+    )
+
+
+def _seeded_classes(rng: random.Random, sig, conv: Convention, nvars: int) -> list[MultiPoly]:
+    """The zero class and, in every degree 0..n-1, random classes and relations.
+
+    A relation is an annihilator generator times a monomial with a Fraction
+    factor; adding a random class to it usually gives a nonzero class.
+    """
+    gens = () if sig.is_empty() else annihilator_generators(sig, conv)
+    out = [MultiPoly.zero(nvars)]
+    for d in range(sig.n):
+        out += [_random_class(rng, nvars, d) for _ in range(2)]
+        for dg, polys in gens:
+            if dg <= d and polys:
+                e = rng.choice(monomial_exponents(nvars, d - dg))
+                relation = rng.choice(polys) * MultiPoly(nvars, {e: F(rng.randint(1, 9), rng.randint(1, 5))})
+                out += [relation, relation + _random_class(rng, nvars, d)]
+    return out
+
+
+def test_membership_and_pairing_match_apply_operator_n5(graph5) -> None:
+    rng = random.Random(4040)
+    verdicts: Counter[bool] = Counter()
+    nonempty = 0
+    for node in graph5.nodes:
+        sig = node.signature
+        nonempty += not node.empty
+        for conv in (HOM, Convention.affine(1), AFF5):
+            nvars = 5 if conv.is_homogeneous else 4
+            for c in _seeded_classes(rng, sig, conv, nvars):
+                expected = oracle_is_zero(c, sig, conv)
+                assert is_zero_class(cls(c), sig, conv) == expected, (sig, conv, c)
+                verdicts[expected] += 1
+            pairs = [(MultiPoly.zero(nvars), _random_class(rng, nvars, 3))]
+            for d in range(3):
+                pairs += [(_random_class(rng, nvars, d), _random_class(rng, nvars, 2 - d)) for _ in range(2)]
+            for a, b in pairs:
+                assert poincare_pairing(cls(a), cls(b), sig, conv) == oracle_pairing(a, b, sig, conv)
+    assert nonempty == 76
+    assert verdicts[True] > 3000 and verdicts[False] > 1000
+
+
+def test_affine_membership_reads_every_degree() -> None:
+    # under affine:1 this degree-2 class sends v to the constant 2: the
+    # image has no top-degree term, so only its lower degrees show it
+    sig = signature(LengthVector.parse("87/23,13/3,95/32,3/38,4,48/17"))
+    aff1 = Convention.affine(1)
+    q = MultiPoly(5, {
+        (2, 0, 0, 0, 0): F(-1, 4), (1, 0, 1, 0, 0): 1, (0, 1, 1, 0, 0): 1,
+        (0, 0, 2, 0, 0): F(-5, 2), (0, 0, 1, 1, 0): 1, (0, 0, 1, 0, 1): 1,
+    })
+    assert q.apply_operator(presented(sig, aff1)) == MultiPoly.constant(5, 2)
+    assert not is_zero_class(cls(q), sig, aff1)
+
+
+def test_pd_class_is_the_product_formula() -> None:
+    for n in range(3, 8):
+        for mask in range(1, (1 << n) - 1):
+            I = IndexSet(n, mask)
+            for base in I.indices:
+                product = MultiPoly.constant(n, (-1) ** (I.p - 1))
+                for j in I.indices:
+                    if j != base:
+                        product = product * (var(n, j) + var(n, base))
+                assert pd_class(I, base).poly == product
+
+
+def test_hankel_tables_go_with_the_volume_cache(blowup_sig) -> None:
+    aff_class = cls(var(4, 1) ** 2 - var(4, 1) * var(4, 3))
+
+    def answers() -> list[object]:
+        return [
+            is_zero_class(cls(var(5, 2) + var(5, 3)), blowup_sig, HOM),
+            is_zero_class(cls(var(5, 1) + var(5, 3)), blowup_sig, HOM),
+            is_zero_class(aff_class, blowup_sig, AFF5),
+            poincare_pairing(cls(var(5, 1) + var(5, 3)), cls(var(5, 3)), blowup_sig, HOM),
+            poincare_pairing(cls(var(4, 3)), cls(var(4, 1)), blowup_sig, AFF5),
+        ]
+
+    before = answers()
+    assert before == [True, False, True, -2, oracle_pairing(var(4, 3), var(4, 1), blowup_sig, AFF5)]
+    vp = volume_polynomial(blowup_sig)
+    assert vp.presented(AFF5) is volume_polynomial(blowup_sig).presented(AFF5)
+    refs = [weakref.ref(vp), weakref.ref(vp.presented(HOM)), weakref.ref(vp.presented(AFF5))]
+    del vp
+    volume_polynomial.cache_clear()
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+    assert answers() == before
+
+
+def test_membership_and_pairing_errors(blowup_sig) -> None:
+    aff6 = Convention.affine(6)
+    with pytest.raises(ValueError, match="class has 5 variables, convention expects 4"):
+        is_zero_class(cls(var(5, 1)), blowup_sig, AFF5)
+    with pytest.raises(ValueError, match="affine index 6 exceeds n = 5"):
+        is_zero_class(cls(var(5, 1)), blowup_sig, aff6)
+    with pytest.raises(ValueError, match="affine index 6 exceeds n = 5"):
+        poincare_pairing(cls(var(5, 1)), cls(var(5, 1)), blowup_sig, aff6)
+    with pytest.raises(ValueError, match="variable count"):
+        poincare_pairing(cls(var(5, 1)), cls(var(5, 1)), blowup_sig, AFF5)
+    with pytest.raises(WrongTotalDegree):
+        poincare_pairing(cls(var(4, 1)), cls(var(4, 1) ** 2), blowup_sig, AFF5)
+    # a failed presentation leaves nothing behind: the error repeats
+    with pytest.raises(ValueError, match="affine index 6 exceeds n = 5"):
+        volume_polynomial(blowup_sig).presented(aff6)
 
 
 def test_pd_bases_agree_observed(cp2_sig, blowup_sig) -> None:

@@ -7,6 +7,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polygonspace import Convention, LengthVector, MultiPoly, signature, volume_polynomial
 from polygonspace import cli
@@ -304,6 +306,143 @@ def test_pairing_rejects_malformed_records() -> None:
         assert code == 4 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def test_inputs_too_large_to_build_exit_4() -> None:
+    # each would otherwise build a huge integer (10^(10^12)) or recurse
+    # past the interpreter's limit before any check could reject it
+    for argv in (
+        ["intersect", "--r", "1e999999999999,1,1", "--alpha", "0,0,0"],
+        ["pairing", "--r", CP2, "--a", "x3", "--b", "x3", "--decimal", str(10**12)],
+        ["pairing", "--r", BLOWUP, "--a", "[" * 100000, "--b", "x3"],
+    ):
+        code, out, err = invoke(argv)
+        assert code == 4 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Argv fragments for the commands that take classes, sets and multi-indices,
+# n <= 7: lengths (generic, empty, singular and malformed), classes as text
+# or JSON records, index sets, bases, conventions and multi-indices.
+_LENGTHS = st.one_of(
+    st.sampled_from([CP2, BLOWUP, R7, "1,1,1", "2,1,1,1", "3,4,4,4,4,4", "10,1,1,1"]),
+    st.sampled_from(["1,1,2", "1,2", "0,1,1", "-1,2,2", "1/0,1,1", "a,b,c", "", ",", "1e5,1,1", "1_0,3,3"]),
+    st.lists(st.integers(1, 40), min_size=3, max_size=7).map(lambda xs: ",".join(map(str, xs))),
+)
+_VARIABLES = ["x1", "x2", "x3", "x4", "x5", "x6", "x7"]
+_HOMOGENEOUS = st.integers(0, 4).flatmap(
+    lambda d: st.lists(
+        st.tuples(
+            st.sampled_from(["", "2*", "1/2*", "-", "-3/4*", "0*", "2.5*"]),
+            st.lists(st.sampled_from(_VARIABLES), min_size=d, max_size=d),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+).map(lambda terms: " + ".join(c + ("*".join(vs) or "1") for c, vs in terms))
+_POLY = st.one_of(
+    _HOMOGENEOUS,
+    st.lists(
+        st.sampled_from(["x1", "x3", "x8", "x0", "y1", "+", "-", "*", "^", "2", "1/2", "1/0", "(", "[", "]", "{", "}", ":", ",", '"coeff"']),
+        max_size=8,
+    ).map("".join),
+    st.lists(
+        st.fixed_dictionaries({
+            "coeff": st.one_of(st.sampled_from(["1", "-1/2", "0", "x", "1/0", "1e3"]), st.integers(-3, 3), st.none(), st.booleans()),
+            "exps": st.lists(st.integers(-1, 2), min_size=4, max_size=7),
+        }),
+        max_size=3,
+    ).map(json.dumps),
+    st.sampled_from(["[", "[1]", "{}", "[[]]", "null", '["a"]', "[{}]", '[{"coeff": "1", "exps": [0, 0, 1, 0, 0], "x": 1}]']),
+)
+_INTS = st.lists(st.integers(-1, 9), max_size=7).map(lambda xs: ",".join(map(str, xs)))
+_ALPHA = st.lists(st.integers(0, 3), min_size=3, max_size=7).map(lambda xs: ",".join(map(str, xs)))
+_CONVENTION = st.sampled_from([
+    "homogeneous", "affine:1", "affine:3", "affine:5", "affine:7", "affine:8",
+    "affine:0", "affine:-1", "affine:", "affine:x", "fancy",
+])
+_DECIMAL = st.integers(-1, 6)
+_FORMAT = st.sampled_from(["json", "text"])
+_OPTIONS = {
+    "pairing": {
+        "--r": _LENGTHS, "--a": _POLY, "--b": _POLY,
+        "--convention": _CONVENTION, "--decimal": _DECIMAL, "--format": _FORMAT,
+    },
+    "pd-class": {
+        "--set": st.one_of(
+            st.sets(st.integers(1, 7), min_size=1, max_size=6).map(lambda xs: ",".join(map(str, sorted(xs)))),
+            _INTS,
+            st.sampled_from(["1,,2", "a", "1.5"]),
+        ),
+        "--n": st.integers(-1, 8),
+        "--r": _LENGTHS,
+        "--base": st.integers(-2, 9),
+        "--format": _FORMAT,
+    },
+    "intersect": {
+        "--r": _LENGTHS,
+        "--alpha": st.one_of(
+            st.sampled_from(["0,0,0", "1,0,0,0", "0,0,1,1,0", "2,0,0,0,0", "0,1,0,2,0,1,0", "1,1,1,1,0,0,0"]),
+            _ALPHA,
+            _INTS,
+            st.sampled_from(["", "1,a", "1.0,1,1,1,1"]),
+        ),
+        "--convention": _CONVENTION,
+        "--decimal": _DECIMAL,
+        "--format": _FORMAT,
+    },
+}
+# Valid invocations that the fuzzer then mutates.
+_TEMPLATES = {
+    "pairing": [
+        {"--r": CP2, "--a": "x3", "--b": "x3"},
+        {"--r": BLOWUP, "--a": "x1 + x3", "--b": "x3", "--decimal": "3"},
+        {"--r": BLOWUP, "--a": "x1", "--b": "1/2*x2", "--convention": "affine:5"},
+        {"--r": "3,4,4,4,4,4", "--a": "x1", "--b": "x2*x3 - x4^2"},
+        {"--r": R7, "--a": "x1*x2", "--b": "x3^2", "--format": "text"},
+    ],
+    "pd-class": [
+        {"--set": "1,3", "--r": CP2},
+        {"--set": "1,2", "--n": "5"},
+        {"--set": "1,2,3", "--r": "3,4,4,4,4,4", "--base": "2"},
+        {"--set": "2,3,4", "--r": R7, "--base": "3", "--format": "text"},
+    ],
+    "intersect": [
+        {"--r": CP2, "--alpha": "0,0,2,0,0"},
+        {"--r": BLOWUP, "--alpha": "0,1,1,0,0", "--convention": "affine:5", "--decimal": "4"},
+        {"--r": R7, "--alpha": "1,1,1,1,0,0,0", "--convention": "affine:7"},
+    ],
+}
+
+
+@st.composite
+def _argv(draw: st.DrawFn) -> list[str]:
+    """A template with up to three options replaced by fragments or dropped.
+
+    Every value is passed as "--flag=value", so that it may start with "-".
+    """
+    command = draw(st.sampled_from(sorted(_TEMPLATES)))
+    options = dict(draw(st.sampled_from(_TEMPLATES[command])))
+    fragments = _OPTIONS[command]
+    for flag in draw(st.lists(st.sampled_from(sorted(fragments)), max_size=3)):
+        value = draw(st.one_of(st.none(), fragments[flag]))
+        if value is None:
+            options.pop(flag, None)
+        else:
+            options[flag] = str(value)
+    return [command] + [f"{flag}={value}" for flag, value in options.items()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_argv())
+def test_fuzzed_argv_exits_with_one_line(argv: list[str]) -> None:
+    code, out, err = invoke(argv)
+    assert code in range(5), argv
+    assert "Traceback" not in err
+    if code == 0:
+        assert out and not err
+    else:
+        assert not out and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_ring_n7_regression() -> None:
