@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
 from math import lcm
 from typing import Container, Iterable, Iterator, Sequence
@@ -175,9 +175,11 @@ class IndexSet:
         return tuple(i + 1 for i in range(self.n) if self.mask >> i & 1)
 
     @property
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        """Canonical order: by cardinality, then lexicographically."""
-        return (self.p, self.indices)
+    def sort_key(self) -> tuple[int, int]:
+        """Canonical order: by cardinality, then lexicographically by sorted
+        indices, i.e. first the set holding the lowest index where two differ,
+        which is the one with the larger bit-reversed mask."""
+        return (self.p, -int(format(self.mask, f"0{self.n}b")[::-1], 2))
 
     def contains(self, index: int) -> bool:
         """Membership of a 1-based index (False outside 1..n)."""
@@ -291,12 +293,6 @@ def _short_bits(sums: list[int]) -> int:
     return int("".join(["1" if s < cut else "0" for s in reversed(sums)]), 2) & ~1
 
 
-def _canonical_order(s: IndexSet) -> tuple[int, int]:
-    """Sort key in the order of IndexSet.sort_key: by size, then first the set
-    holding the lowest index where two differ, i.e. the larger reversed mask."""
-    return (s.mask.bit_count(), -int(format(s.mask, f"0{s.n}b")[::-1], 2))
-
-
 def _pair_masks(n: int) -> range:
     """One canonical mask per complementary pair: the member containing index 1."""
     return range(1, (1 << n) - 1, 2)
@@ -317,7 +313,7 @@ def _generic_sums(r: LengthVector, den: int | None = None) -> list[int]:
     total = sums[-1]
     if total % 2 == 0 and total // 2 in sums:
         zeros = [IndexSet(r.n, m) for m, s in enumerate(sums) if 2 * s == total]
-        raise SingularLength(r, min(zeros, key=_canonical_order))
+        raise SingularLength(r, min(zeros, key=lambda s: s.sort_key))
     return sums
 
 
@@ -329,40 +325,119 @@ def is_generic(r: LengthVector) -> bool:
 
 def long_sets(r: LengthVector) -> list[IndexSet]:
     """All proper nonempty long sets of a generic r, canonically sorted."""
-    sums = _generic_sums(r)
-    longs = _proper(r.n) & ~_short_bits(sums)
-    return sorted((IndexSet(r.n, m) for m in _members(longs)), key=_canonical_order)
+    return signature(r).long_sets()
 
 
 def is_empty(r: LengthVector) -> bool:
     """True iff the polygon space is empty: some single side is long."""
-    sums = _generic_sums(r)
-    return any(2 * sums[1 << i] > sums[-1] for i in range(r.n))
+    return signature(r).is_empty()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ChamberSignature:
-    """A chamber, encoded by its inclusion-maximal short sets.
+    """A chamber, held as the bitset of all its short sets (see _selectors).
 
-    The chamber is held as the bitset of all its short sets (see _selectors);
-    two signatures are equal when these bitsets are.  Construction checks,
-    with a fixed number of big-int operations, that the listed sets are
-    exactly the maximal members of their down-closure and that the closure
-    classifies every complementary pair exactly once.
+    Bit m of `shorts` is set when the index set of mask m is short; two
+    signatures are equal when these bitsets are.  Construction checks, with
+    a fixed number of big-int operations, that the bitset holds only proper
+    nonempty masks, is closed under taking nonempty subsets, and classifies
+    every complementary pair exactly once.  The inclusion-maximal short
+    sets are derived on first use.
     """
 
     n: int
-    maximal_shorts: tuple[IndexSet, ...]
-    _shorts: int = field(init=False, repr=False)
+    shorts: int
 
     def __post_init__(self) -> None:
-        n = self.n
-        sets = tuple(sorted(self.maximal_shorts, key=_canonical_order))
-        object.__setattr__(self, "maximal_shorts", sets)
+        n, shorts = self.n, self.shorts
+        if n < 3:
+            raise ValueError(f"n must be at least 3, got {n}")
+        if shorts & ~_proper(n):
+            raise ValueError("short sets must be proper and nonempty")
+        missing = _down_closure(n, shorts) & ~shorts
+        if missing:
+            subset = IndexSet(n, (missing & -missing).bit_length() - 1)
+            raise ValueError(f"{subset} is a subset of a short set but is not short")
+        longs = int(format(shorts, f"0{1 << n}b")[::-1], 2)  # complements of the shorts
+        unclassified = (shorts & longs | _proper(n) & ~(shorts | longs)) & _selectors(n)[0]
+        if unclassified:
+            pair = IndexSet(n, (unclassified & -unclassified).bit_length() - 1)
+            raise ValueError(f"maximal shorts do not classify the pair {pair}/{pair.complement}")
+
+    def __repr__(self) -> str:
+        # hexadecimal: a decimal int of 2^n bits exceeds Python's
+        # int-to-str digit limit from n = 14 on
+        return f"ChamberSignature(n={self.n}, shorts={self.shorts:#x})"
+
+    @cached_property
+    def maximal_shorts(self) -> tuple[IndexSet, ...]:
+        """The inclusion-maximal short sets, canonically sorted."""
+        return tuple(self._sets(_maximal(self.n, self.shorts)))
+
+    def is_short(self, I: IndexSet) -> bool:
+        return bool(self.shorts >> I.mask & 1)
+
+    def is_long(self, I: IndexSet) -> bool:
+        return not self.is_short(I)
+
+    def _sets(self, bits: int) -> list[IndexSet]:
+        return sorted((IndexSet(self.n, m) for m in _members(bits)), key=lambda s: s.sort_key)
+
+    def short_sets(self) -> list[IndexSet]:
+        """All proper nonempty short sets (down-closure), canonically sorted."""
+        return self._sets(self.shorts)
+
+    def long_sets(self) -> list[IndexSet]:
+        """All proper nonempty long sets, canonically sorted."""
+        return self._sets(_proper(self.n) & ~self.shorts)
+
+    def is_empty(self) -> bool:
+        """True iff some singleton is long (polygon space empty)."""
+        return any(not self.shorts >> (1 << i) & 1 for i in range(self.n))
+
+    def is_external(self) -> bool:
+        """True iff some singleton is itself a maximal short set."""
+        maximal = _maximal(self.n, self.shorts)
+        return any(maximal >> (1 << i) & 1 for i in range(self.n))
+
+    def flip(self, I: IndexSet) -> ChamberSignature:
+        """The signature across the facet wall of the long set I."""
+        if self.is_short(I):
+            raise NotAFacet(f"{I} is short here; only long sets name exit walls")
+        comp_mask = I.complement.mask
+        if not _maximal(self.n, self.shorts) >> comp_mask & 1:
+            raise NotAFacet(f"{I.complement} is not a maximal short set; {I} does not bound this chamber")
+        return ChamberSignature(self.n, self.shorts & ~(1 << comp_mask) | 1 << I.mask)
+
+    def adjacent_pair_with(self, other: ChamberSignature) -> IndexSet | None:
+        """The set long here and short in `other`, if the two signatures differ
+        in exactly that complementary pair; otherwise None."""
+        if self.n != other.n:
+            return None
+        differ = (self.shorts ^ other.shorts) & _selectors(self.n)[0]
+        if differ.bit_count() != 1:
+            return None
+        flip = differ.bit_length() - 1
+        long_here = ((1 << self.n) - 1) ^ flip if self.shorts >> flip & 1 else flip
+        return IndexSet(self.n, long_here)
+
+    def permute(self, perm: Sequence[int]) -> ChamberSignature:
+        """Relabel indices: 0-based position i maps to perm[i]."""
+        tops = _bitset(self.n, (s.permute(perm).mask for s in self.maximal_shorts))
+        return ChamberSignature(self.n, _down_closure(self.n, tops))
+
+    def sort_key(self) -> tuple[tuple[int, int], ...]:
+        return tuple(s.sort_key for s in self.maximal_shorts)
+
+    def to_lists(self) -> list[list[int]]:
+        return [list(s.indices) for s in self.maximal_shorts]
+
+    @classmethod
+    def from_lists(cls, n: int, lists: Sequence[Sequence[int]]) -> ChamberSignature:
+        """The chamber whose maximal short sets are the given 1-based index lists."""
+        sets = [IndexSet.from_indices(n, ix) for ix in lists]
         if not sets:
             raise ValueError("a chamber has at least one maximal short set")
-        if any(s.n != n for s in sets):
-            raise ValueError("maximal short sets must live on the same n indices")
         tops = _bitset(n, (s.mask for s in sets))
         if tops.bit_count() != len(sets):
             raise ValueError("duplicate maximal short sets")
@@ -372,88 +447,7 @@ class ChamberSignature:
             a = next(s for s in sets if not maximal >> s.mask & 1)
             b = next(t for t in sets if t is not a and a.is_subset_of(t))
             raise ValueError(f"{a} is contained in {b}; sets must be inclusion-maximal")
-        longs = int(format(shorts, f"0{1 << n}b")[::-1], 2)  # complements of the shorts
-        unclassified = (shorts & longs | _proper(n) & ~(shorts | longs)) & _selectors(n)[0]
-        if unclassified:
-            pair = IndexSet(n, (unclassified & -unclassified).bit_length() - 1)
-            raise ValueError(f"maximal shorts do not classify the pair {pair}/{pair.complement}")
-        object.__setattr__(self, "_shorts", shorts)
-
-    @classmethod
-    def _from_shorts(cls, n: int, shorts: int) -> ChamberSignature:
-        """The signature of a down-closed bitset of short sets."""
-        return cls(n, tuple(IndexSet(n, m) for m in _members(_maximal(n, shorts))))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ChamberSignature):
-            return NotImplemented
-        return self.n == other.n and self._shorts == other._shorts
-
-    def __hash__(self) -> int:
-        return hash((self.n, self._shorts))
-
-    def _is_short_mask(self, mask: int) -> bool:
-        return bool(self._shorts >> mask & 1)
-
-    def is_short(self, I: IndexSet) -> bool:
-        return self._is_short_mask(I.mask)
-
-    def is_long(self, I: IndexSet) -> bool:
-        return not self._is_short_mask(I.mask)
-
-    def _sets(self, bits: int) -> list[IndexSet]:
-        return sorted((IndexSet(self.n, m) for m in _members(bits)), key=_canonical_order)
-
-    def short_sets(self) -> list[IndexSet]:
-        """All proper nonempty short sets (down-closure), canonically sorted."""
-        return self._sets(self._shorts)
-
-    def long_sets(self) -> list[IndexSet]:
-        """All proper nonempty long sets, canonically sorted."""
-        return self._sets(_proper(self.n) & ~self._shorts)
-
-    def is_empty(self) -> bool:
-        """True iff some singleton is long (polygon space empty)."""
-        return any(not self._is_short_mask(1 << i) for i in range(self.n))
-
-    def is_external(self) -> bool:
-        """True iff some singleton is itself a maximal short set."""
-        return any(s.p == 1 for s in self.maximal_shorts)
-
-    def flip(self, I: IndexSet) -> ChamberSignature:
-        """The signature across the facet wall of the long set I."""
-        if self.is_short(I):
-            raise NotAFacet(f"{I} is short here; only long sets name exit walls")
-        comp_mask = I.complement.mask
-        if not _maximal(self.n, self._shorts) >> comp_mask & 1:
-            raise NotAFacet(f"{I.complement} is not a maximal short set; {I} does not bound this chamber")
-        return self._from_shorts(self.n, self._shorts & ~(1 << comp_mask) | 1 << I.mask)
-
-    def adjacent_pair_with(self, other: ChamberSignature) -> IndexSet | None:
-        """The set long here and short in `other`, if the two signatures differ
-        in exactly that complementary pair; otherwise None."""
-        if self.n != other.n:
-            return None
-        differ = (self._shorts ^ other._shorts) & _selectors(self.n)[0]
-        if differ.bit_count() != 1:
-            return None
-        flip = differ.bit_length() - 1
-        long_here = flip if not self._is_short_mask(flip) else ((1 << self.n) - 1) ^ flip
-        return IndexSet(self.n, long_here)
-
-    def permute(self, perm: Sequence[int]) -> ChamberSignature:
-        """Relabel indices: 0-based position i maps to perm[i]."""
-        return ChamberSignature(self.n, tuple(s.permute(perm) for s in self.maximal_shorts))
-
-    def sort_key(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        return tuple(s.sort_key for s in self.maximal_shorts)
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(s.indices) for s in self.maximal_shorts]
-
-    @classmethod
-    def from_lists(cls, n: int, lists: Sequence[Sequence[int]]) -> ChamberSignature:
-        return cls(n, tuple(IndexSet.from_indices(n, ix) for ix in lists))
+        return cls(n, shorts)
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(s) for s in self.maximal_shorts) + "]"
@@ -461,7 +455,7 @@ class ChamberSignature:
 
 def signature(r: LengthVector) -> ChamberSignature:
     """The chamber signature of a generic r."""
-    return ChamberSignature._from_shorts(r.n, _short_bits(_generic_sums(r)))
+    return ChamberSignature(r.n, _short_bits(_generic_sums(r)))
 
 
 def is_external(sig: ChamberSignature) -> bool:
@@ -517,7 +511,7 @@ def _max_margin_point(
     for mask in _pair_masks(n):
         if mask in skip:
             continue
-        sign = -1 if sig._is_short_mask(mask) else 1
+        sign = -1 if sig.shorts >> mask & 1 else 1
         # sign·ε_J(x) − λ ≥ 0
         ge_rows.append(([sign if mask >> i & 1 else -sign for i in range(n)] + [-1], 0))
     for i in range(n):
@@ -570,7 +564,7 @@ def _wall_point_ok(values: tuple[Fraction, ...], sig: ChamberSignature, I: Index
     # I and Iᶜ are the only masks at half the perimeter
     if 2 * sums[I.mask] != total or sums.count(sums[I.mask]) != 2:
         return False
-    return _short_bits(sums) == sig._shorts & ~(1 << I.complement.mask)
+    return _short_bits(sums) == sig.shorts & ~(1 << I.complement.mask)
 
 
 def _wall_point_candidates(
@@ -672,16 +666,20 @@ def nudge_within_chamber(r: LengthVector, k: int) -> LengthVector | None:
     Adds a zero-perimeter direction drawn from a k-seeded generator, so
     every coordinate moves by a different tiny amount; a vector with tied
     coordinates has all its ties broken in one step, and each retry explores
-    a fresh direction at a magnitude that shrinks with k.  Returns None when
-    the candidate leaves the chamber (caller tries k+1).
+    a fresh direction at a magnitude that shrinks with k.  The weights range
+    over ±2^(n+10), so that ties among the 2ⁿ subset sums of the direction
+    stay rare as n grows, and the magnitude is scaled to keep the step size
+    of weights in ±1000.  Returns None when the candidate leaves the chamber
+    (caller tries k+1).
     """
     if k < 1:
         raise ValueError("retry counter starts at 1")
     n = r.n
     rng = random.Random(k)
-    weights = [rng.randint(-1000, 1000) for _ in range(n)]
+    bound = 1 << (n + 10)
+    weights = [rng.randint(-bound, bound) for _ in range(n)]
     mean = Fraction(sum(weights), n)
-    magnitude = r.perimeter / (10**7 * (1 << ((k - 1) // (n - 1))))
+    magnitude = r.perimeter * 1000 / (10**7 * bound * (1 << ((k - 1) // (n - 1))))
     values = [x + magnitude * (w - mean) for x, w in zip(r.lengths, weights)]
     if any(x <= 0 for x in values):
         return None
@@ -736,8 +734,7 @@ def enumerate_chambers(
     start = external_representative(n)
     start_sig = signature(start)
     reps: dict[ChamberSignature, LengthVector] = {start_sig: start}
-    discovery: dict[ChamberSignature, int] = {start_sig: 0}
-    edge_set: dict[frozenset[int], tuple[ChamberSignature, ChamberSignature, Wall]] = {}
+    found: list[tuple[ChamberSignature, ChamberSignature, Wall]] = []
     probed: set[frozenset[ChamberSignature]] = set()
     queue: deque[ChamberSignature] = deque([start_sig])
     while queue:
@@ -761,21 +758,15 @@ def enumerate_chambers(
                 if max_nodes is not None and len(reps) >= max_nodes:
                     raise BudgetExceeded(f"more than {max_nodes} chambers at n = {n}")
                 reps[neighbor] = after
-                discovery[neighbor] = len(discovery)
                 queue.append(neighbor)
-            key = frozenset((discovery[sig], discovery[neighbor]))
-            if key not in edge_set:
-                edge_set[key] = (sig, neighbor, Wall(exit_set))
-    ordered = sorted(discovery, key=lambda s: s.sort_key())
+            found.append((sig, neighbor, Wall(exit_set)))
+    ordered = sorted(reps, key=lambda s: s.sort_key())
     index_of = {sig: i for i, sig in enumerate(ordered)}
     nodes = tuple(
         ChamberNode(sig, reps[sig], sig.is_empty(), sig.is_external()) for sig in ordered
     )
     edges = sorted(
-        (
-            (index_of[a], index_of[b], wall)
-            for a, b, wall in edge_set.values()
-        ),
+        ((index_of[a], index_of[b], wall) for a, b, wall in found),
         key=lambda e: (e[0], e[1], e[2].index_set.sort_key),
     )
     return ChamberGraph(n, nodes, tuple(edges))

@@ -68,8 +68,8 @@ EXIT_EMPTY = 3
 EXIT_USAGE = 4
 
 # Per-point commands do 2^n work or more.  At 16 sides `analyze` takes
-# 0.03-0.1 s and `betti --method wallcross` 0.5-10 s, at 17 sides 0.1-0.4 s
-# and 1.7-65 s (random to nearly equal lengths; 2-core x86, Python 3.11).
+# 0.02-0.15 s and `betti --method wallcross` 0.5-0.7 s, at 17 sides 0.04-0.2 s
+# and 1.1-2.2 s (random to nearly equal lengths; 2-core x86, Python 3.11).
 MAX_SIDES = 16
 
 # --decimal renders through 10^K; beyond this many digits that integer
@@ -94,31 +94,8 @@ def _variable_names(n: int, conv: Convention, letter: str) -> list[str]:
     return [f"{letter}{i}" for i in range(1, n + 1) if i != conv.affine_index]
 
 
-def _poly_text(poly: MultiPoly, names: Sequence[str]) -> str:
-    if not poly.terms():
-        return "0"
-    parts: list[str] = []
-    for e, c in poly.terms():
-        factors = []
-        for i, k in enumerate(e):
-            if k == 1:
-                factors.append(names[i])
-            elif k > 1:
-                factors.append(f"{names[i]}^{k}")
-        mag = abs(c)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
-        parts.append(f"{'-' if c < 0 else '+'} {body}")
-    head = parts[0][2:] if parts[0][0] == "+" else "-" + parts[0][2:]
-    return " ".join([head] + parts[1:])
-
-
 def _poly_doc(poly: MultiPoly, names: Sequence[str]) -> dict[str, object]:
-    return {"text": _poly_text(poly, names), "records": poly.to_records()}
+    return {"text": poly.format(names), "records": poly.to_records()}
 
 
 def _decimal_text(value: Fraction, digits: int) -> str:
@@ -285,16 +262,12 @@ def _lengths(text: str) -> LengthVector:
     return r
 
 
-def _lengths_doc(r: LengthVector) -> list[str]:
-    return [format_rational(x) for x in r]
-
-
 def _cmd_analyze(args: argparse.Namespace) -> tuple[dict[str, object], int]:
     r = _lengths(args.r)
     sig = signature(r)
     doc: dict[str, object] = {
         "n": r.n,
-        "r": _lengths_doc(r),
+        "r": r.to_strings(),
         "perimeter": format_rational(r.perimeter),
         "signature": sig.to_lists(),
         "external": sig.is_external(),
@@ -312,7 +285,7 @@ def _cmd_volume(args: argparse.Namespace) -> tuple[dict[str, object], int]:
     value = vp.v.evaluate(tuple(r))
     doc: dict[str, object] = {
         "n": r.n,
-        "r": _lengths_doc(r),
+        "r": r.to_strings(),
         "convention": str(conv),
         "variables": names,
         "poly": _poly_doc(vp.presented(conv).poly, names),
@@ -332,7 +305,7 @@ def _cmd_intersect(args: argparse.Namespace) -> tuple[dict[str, object], int]:
     value = intersection_number(sig, alpha, conv)
     doc: dict[str, object] = {
         "n": r.n,
-        "r": _lengths_doc(r),
+        "r": r.to_strings(),
         "convention": str(conv),
         "alpha": list(alpha.exponents),
         "intersection_number": format_rational(value),
@@ -364,7 +337,7 @@ def _cmd_ring(args: argparse.Namespace) -> tuple[dict[str, object], int]:
     names = _variable_names(r.n, conv, "x")
     doc: dict[str, object] = {
         "n": r.n,
-        "r": _lengths_doc(r),
+        "r": r.to_strings(),
         "convention": str(conv),
         "variables": names,
         "betti": list(pres.betti),
@@ -467,8 +440,8 @@ def _cmd_wallcross(args: argparse.Namespace) -> tuple[dict[str, object], int]:
         raise RuntimeError("crossing walk did not land in the target chamber")
     doc: dict[str, object] = {
         "n": r0.n,
-        "from": _lengths_doc(r0),
-        "to": _lengths_doc(r1),
+        "from": r0.to_strings(),
+        "to": r1.to_strings(),
         "signature_from": sig0.to_lists(),
         "signature_to": sig.to_lists(),
         "count": len(items),
@@ -493,7 +466,7 @@ def _cmd_chambers(args: argparse.Namespace) -> tuple[dict[str, object], int]:
             {
                 "index": i,
                 "signature": node.signature.to_lists(),
-                "representative": _lengths_doc(node.representative),
+                "representative": node.representative.to_strings(),
                 "empty": node.empty,
                 "external": node.external,
             }

@@ -392,18 +392,21 @@ class MultiPoly:
             terms.append((tuple(exps), value))
         return cls(nvars, terms)
 
-    def format(self, var: str = "x") -> str:
-        """Human-readable form like "1/2*x1^2 - x2*x3" (1-based variable labels)."""
+    def format(self, names: Sequence[str] | None = None) -> str:
+        """Human-readable form like "1/2*x1^2 - x2*x3"; variable i is labelled
+        names[i], by default x1, …, xn."""
         if not self._terms:
             return "0"
+        if names is None:
+            names = [f"x{i}" for i in range(1, self.nvars + 1)]
         parts: list[str] = []
         for e, c in self._terms:
             factors = []
             for i, k in enumerate(e):
                 if k == 1:
-                    factors.append(f"{var}{i + 1}")
+                    factors.append(names[i])
                 elif k > 1:
-                    factors.append(f"{var}{i + 1}^{k}")
+                    factors.append(f"{names[i]}^{k}")
             mag = abs(c)
             if not factors:
                 body = str(mag)

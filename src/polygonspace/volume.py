@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from polygonspace.chambers import ChamberSignature, IndexSet, LengthVector, signature
+from polygonspace.chambers import ChamberSignature, IndexSet, LengthVector, _members, _proper, signature
 from polygonspace.ratpoly import MultiIndex, MultiPoly, monomial_exponents
 
 SCALE_NOTE = "(2pi)^(n-3)"
@@ -178,8 +178,8 @@ def volume_polynomial(sig: ChamberSignature) -> VolumePolynomial:
     size = 1 << n
     w = [0] * size
     w[size - 1] = 1  # full set
-    for index_set in sig.long_sets():
-        w[index_set.mask] = -1 if (n - index_set.p) % 2 else 1
+    for m in _members(_proper(n) & ~sig.shorts):  # the long sets
+        w[m] = -1 if (n - m.bit_count()) % 2 else 1
     half = 1
     while half < size:
         for start in range(0, size, 2 * half):

@@ -193,7 +193,21 @@ def test_signature_validation() -> None:
     with pytest.raises(ValueError):
         ChamberSignature.from_lists(4, [[1]])  # pairs left unclassified
     with pytest.raises(ValueError):
-        ChamberSignature(4, ())
+        ChamberSignature(4, 0)
+    # the bitset itself: bit m is set when the set of mask m is short
+    sig = signature(CP2_R)
+    n, shorts = sig.n, sig.shorts
+    assert ChamberSignature(n, shorts) == sig
+    for outside in (0, (1 << n) - 1):  # the empty and the full mask
+        with pytest.raises(ValueError, match="proper and nonempty"):
+            ChamberSignature(n, shorts | 1 << outside)
+    # {1,2} ⊂ {1,2,4} leaves the shorts and {3,4,5} joins them: every pair
+    # stays classified once, but the family is no longer down-closed
+    swapped = shorts & ~(1 << iset(5, 1, 2).mask) | 1 << iset(5, 3, 4, 5).mask
+    with pytest.raises(ValueError, match="subset of a short set"):
+        ChamberSignature(n, swapped)
+    with pytest.raises(ValueError, match="do not classify the pair"):
+        ChamberSignature(n, shorts & ~(1 << iset(5, 1, 2, 4).mask))  # a maximal set
 
 
 def test_signature_matches_brute_force_maximality() -> None:
@@ -205,6 +219,8 @@ def test_signature_matches_brute_force_maximality() -> None:
         sig = signature(r)
         assert {s.mask for s in sig.maximal_shorts} == maximal_masks(n, shorts)
         assert list(sig.maximal_shorts) == sorted(sig.maximal_shorts, key=lambda s: s.sort_key)
+        assert list(sig.maximal_shorts) == sorted(sig.maximal_shorts, key=lambda s: (s.p, s.indices))
+        assert sig.is_external() == any(1 << i in maximal_masks(n, shorts) for i in range(n))
         assert {s.mask for s in sig.short_sets()} == shorts
         assert {s.mask for s in sig.long_sets()} == set(range(1, (1 << n) - 1)) - shorts
         assert [s.mask for s in long_sets(r)] == [s.mask for s in sig.long_sets()]

@@ -321,9 +321,9 @@ def test_inputs_too_large_to_build_exit_4() -> None:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-# Argv fragments for the commands that take classes, sets and multi-indices,
-# n <= 7: lengths (generic, empty, singular and malformed), classes as text
-# or JSON records, index sets, bases, conventions and multi-indices.
+# Argv fragments for the per-point commands, n <= 7: lengths (generic,
+# empty, singular and malformed), classes as text or JSON records, index
+# sets, bases, conventions, multi-indices and Betti methods.
 _LENGTHS = st.one_of(
     st.sampled_from([CP2, BLOWUP, R7, "1,1,1", "2,1,1,1", "3,4,4,4,4,4", "10,1,1,1"]),
     st.sampled_from(["1,1,2", "1,2", "0,1,1", "-1,2,2", "1/0,1,1", "a,b,c", "", ",", "1e5,1,1", "1_0,3,3"]),
@@ -391,6 +391,17 @@ _OPTIONS = {
         "--decimal": _DECIMAL,
         "--format": _FORMAT,
     },
+    "volume": {"--r": _LENGTHS, "--convention": _CONVENTION, "--decimal": _DECIMAL, "--format": _FORMAT},
+    "ring": {"--r": _LENGTHS, "--convention": _CONVENTION, "--format": _FORMAT},
+    "betti": {
+        "--r": _LENGTHS,
+        "--method": st.sampled_from(["apolar", "wallcross", "both", "", "fast"]),
+        "--convention": _CONVENTION,
+        "--format": _FORMAT,
+    },
+    "wallcross": {"--from": _LENGTHS, "--to": _LENGTHS, "--format": _FORMAT},
+    "analyze": {"--r": _LENGTHS, "--format": _FORMAT},
+    "validate": {"--r": _LENGTHS, "--format": _FORMAT},
 }
 # Valid invocations that the fuzzer then mutates.
 _TEMPLATES = {
@@ -412,6 +423,27 @@ _TEMPLATES = {
         {"--r": BLOWUP, "--alpha": "0,1,1,0,0", "--convention": "affine:5", "--decimal": "4"},
         {"--r": R7, "--alpha": "1,1,1,1,0,0,0", "--convention": "affine:7"},
     ],
+    "volume": [
+        {"--r": CP2},
+        {"--r": BLOWUP, "--convention": "affine:2", "--decimal": "3", "--format": "text"},
+        {"--r": R7, "--convention": "affine:7"},
+    ],
+    "ring": [
+        {"--r": BLOWUP},
+        {"--r": "3,4,4,4,4,4", "--convention": "affine:1"},
+        {"--r": R7, "--format": "text"},
+    ],
+    "betti": [
+        {"--r": CP2},
+        {"--r": "3,4,4,4,4,4", "--method": "apolar", "--convention": "affine:2"},
+        {"--r": R7, "--method": "wallcross"},
+    ],
+    "wallcross": [
+        {"--from": CP2, "--to": BLOWUP},
+        {"--from": "162/336,29/336,29/336,29/336,29/336,29/336,29/336", "--to": R7, "--format": "text"},
+    ],
+    "analyze": [{"--r": CP2}, {"--r": R7, "--format": "text"}],
+    "validate": [{"--r": BLOWUP}, {"--r": R7}],
 }
 
 
@@ -433,7 +465,7 @@ def _argv(draw: st.DrawFn) -> list[str]:
     return [command] + [f"{flag}={value}" for flag, value in options.items()]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=900, deadline=None, derandomize=True, database=None)
 @given(_argv())
 def test_fuzzed_argv_exits_with_one_line(argv: list[str]) -> None:
     code, out, err = invoke(argv)

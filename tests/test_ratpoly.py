@@ -230,7 +230,7 @@ def test_records_round_trip_and_format() -> None:
         {"coeff": "-1/1", "exps": [0, 1, 1]},
     ]
     assert MultiPoly.from_records(3, recs) == p
-    assert p.format("r") == "1/2*r1^2 - r2*r3"
+    assert p.format(["r1", "r2", "r3"]) == "1/2*r1^2 - r2*r3"
     assert MultiPoly.zero(2).format() == "0"
     for bad in (
         [1],

@@ -236,6 +236,15 @@ def test_betti_via_path_matches_hausmann_knutson_large_n() -> None:
             r = odd_perimeter_point(rng, n)
             shorts = short_masks(r)
         assert betti_via_path(r) == hausmann_knutson_betti(n, shorts)
+    # nearly equal sides tie many subset sums, which the nudges must break;
+    # integer sums, because the Fraction oracle takes seconds at n = 17
+    for lengths in ([*range(100, 115), 116], [*range(100, 116), 117]):
+        n, total = len(lengths), sum(lengths)
+        shorts = {
+            m for m in range(1, (1 << n) - 1)
+            if 2 * sum(x for i, x in enumerate(lengths) if m >> i & 1) < total
+        }
+        assert betti_via_path(LengthVector.from_values(lengths)) == hausmann_knutson_betti(n, shorts)
 
 
 # ----------------------------------------------------------------- validation
