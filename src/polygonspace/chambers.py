@@ -275,14 +275,17 @@ def _maximal(n: int, bits: int) -> int:
     return bits & ~below
 
 
-def _subset_sums(values: Sequence[Fraction], den: int | None = None) -> list[int]:
-    """sums[m] = den·Σ_{i∈m} values_i for all 2^n masks m (den defaults to
-    the lcm of the denominators, which makes every sum an integer)."""
+def _scaled(values: Sequence[Fraction], den: int | None = None) -> tuple[list[int], int]:
+    """(den·values, den) in integers; den defaults to the lcm of the denominators."""
     if den is None:
         den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _subset_sums(a: Sequence[int]) -> list[int]:
+    """sums[m] = Σ_{i∈m} aᵢ for all 2^n masks m."""
     sums = [0]
-    for x in values:
-        k = x.numerator * (den // x.denominator)
+    for k in a:
         sums += [s + k for s in sums]
     return sums
 
@@ -291,11 +294,6 @@ def _short_bits(sums: list[int]) -> int:
     """The bitset of the nonempty masks m with 2·sums[m] < sums[full]."""
     cut = (sums[-1] + 1) // 2  # 2s < total exactly when s < cut
     return int("".join(["1" if s < cut else "0" for s in reversed(sums)]), 2) & ~1
-
-
-def _pair_masks(n: int) -> range:
-    """One canonical mask per complementary pair: the member containing index 1."""
-    return range(1, (1 << n) - 1, 2)
 
 
 def epsilon(r: LengthVector, I: IndexSet) -> Fraction:
@@ -309,7 +307,7 @@ def epsilon(r: LengthVector, I: IndexSet) -> Fraction:
 def _generic_sums(r: LengthVector, den: int | None = None) -> list[int]:
     """The integer subset sums of r; SingularLength, naming the canonically
     first I, if some ε_I(r) vanishes."""
-    sums = _subset_sums(r.lengths, den)
+    sums = _subset_sums(_scaled(r.lengths, den)[0])
     total = sums[-1]
     if total % 2 == 0 and total // 2 in sums:
         zeros = [IndexSet(r.n, m) for m, s in enumerate(sums) if 2 * s == total]
@@ -319,7 +317,7 @@ def _generic_sums(r: LengthVector, den: int | None = None) -> list[int]:
 
 def is_generic(r: LengthVector) -> bool:
     """True iff no ε_I(r) vanishes over the 2^(n-1)-1 complementary pairs."""
-    sums = _subset_sums(r.lengths)
+    sums = _subset_sums(_scaled(r.lengths)[0])
     return sums[-1] % 2 == 1 or sums[-1] // 2 not in sums
 
 
@@ -504,14 +502,20 @@ def _max_margin_point(
     `sums`, every complementary pair whose canonical mask is not in `skip`
     keeps its chamber sign with slack ≥ λ} (exact LP, integer rows).  A
     positive optimum is the most wall-distant point of that region; a
-    nonpositive one, or infeasibility, gives None.
+    nonpositive one, or infeasibility, gives None.  Only pairs whose short
+    member is a maximal short set get a row: for J ⊊ M with M short,
+    ε_J = ε_M − 2·Σ_{M∖J} x ≤ −λ − 2λ as x ≥ λ ≥ 0, so the other rows are
+    implied (also under a skipped wall pair whose equalities put ε_{Iᶜ} = 0).
     """
     n = sig.n
+    full = (1 << n) - 1
+    maximal = _maximal(n, sig.shorts)
     ge_rows: list[tuple[list[int], int]] = []
-    for mask in _pair_masks(n):
-        if mask in skip:
+    for mask in range(1, full, 2):  # one mask per pair, the member holding index 1
+        short = sig.shorts >> mask & 1
+        if mask in skip or not maximal >> (mask if short else full ^ mask) & 1:
             continue
-        sign = -1 if sig.shorts >> mask & 1 else 1
+        sign = -1 if short else 1
         # sign·ε_J(x) − λ ≥ 0
         ge_rows.append(([sign if mask >> i & 1 else -sign for i in range(n)] + [-1], 0))
     for i in range(n):
@@ -544,40 +548,16 @@ def representative(sig: ChamberSignature, perimeter: Scalar = 1) -> LengthVector
     return point
 
 
-def _direction(n: int, I: IndexSet) -> tuple[Fraction, ...]:
-    """The perimeter-preserving direction u = -(1/p)·χ_I + (1/q)·χ_{Iᶜ}."""
-    down = Fraction(-1, I.p)
-    up = Fraction(1, I.q)
-    return tuple(down if I.mask >> i & 1 else up for i in range(n))
-
-
-def _shifted(r: LengthVector, u: Sequence[Fraction], t: Fraction) -> tuple[Fraction, ...]:
-    return tuple(x + t * ux for x, ux in zip(r, u))
-
-
-def _wall_point_ok(values: tuple[Fraction, ...], sig: ChamberSignature, I: IndexSet) -> bool:
-    """Strictly positive, ε_I = 0, every other pair keeps its chamber sign."""
+def _wall_point_ok(values: Sequence[int], sig: ChamberSignature, I: IndexSet) -> bool:
+    """Strictly positive, ε_I = 0, every other pair keeps its chamber sign
+    (`values`: the wall point times a positive number, as integers; a second
+    vanishing pair leaves both its members long, so the short bits differ)."""
     if any(x <= 0 for x in values):
         return False
     sums = _subset_sums(values)
-    total = sums[-1]
-    # I and Iᶜ are the only masks at half the perimeter
-    if 2 * sums[I.mask] != total or sums.count(sums[I.mask]) != 2:
+    if 2 * sums[I.mask] != sums[-1]:
         return False
     return _short_bits(sums) == sig.shorts & ~(1 << I.complement.mask)
-
-
-def _wall_point_candidates(
-    r: LengthVector, I: IndexSet, u: tuple[Fraction, ...]
-) -> Iterator[tuple[Fraction, ...]]:
-    """Two cheap wall-point candidates with the right perimeter."""
-    e = epsilon(r, I)
-    yield _shifted(r, u, e / 2)
-    half = r.perimeter / 2
-    inside = sum((x for i, x in enumerate(r) if I.mask >> i & 1), Fraction(0))
-    scale_in = half / inside
-    scale_out = half / (r.perimeter - inside)
-    yield tuple(x * (scale_in if I.mask >> i & 1 else scale_out) for i, x in enumerate(r))
 
 
 def adjacent_representative(
@@ -588,36 +568,46 @@ def adjacent_representative(
     Returns a wall point r_c (ε_I(r_c) = 0, every other ε keeps its sign,
     perimeter preserved) and a generic r_after just beyond it whose signature
     differs from signature(r) exactly in the pair {I, Iᶜ}.  r_after may lie in
-    an empty chamber; callers detect that from its signature.
+    an empty chamber; callers detect that from its signature.  The wall point
+    is the first valid one of r + (ε_I/2)·u (u = −χ_I/p + χ_{Iᶜ}/q), r scaled
+    to P/2 on each side, and the facet's max-margin point; r_after is it plus
+    (P/4)/2^k·u for the least k that works.  All in integers (r times a lcm).
     """
-    sig = signature(r)
-    if epsilon(r, I) <= 0:
+    if I.n != r.n:
+        raise ValueError(f"index set over {I.n} indices applied to {r.n} lengths")
+    den = lcm(*(x.denominator for x in r))
+    sums = _generic_sums(r, den)
+    total, inside = sums[-1], sums[I.mask]
+    if 2 * inside <= total:
         raise NotAFacet(f"{I} is not long at r = {r}")
+    sig = ChamberSignature(r.n, _short_bits(sums))
     target = sig.flip(I)  # validates that Iᶜ is a maximal short set
-    u = _direction(r.n, I)
-    chosen = None
-    for values in _wall_point_candidates(r, I, u):
-        if _wall_point_ok(values, sig, I):
-            chosen = values
-            break
-    if chosen is None:
+    p, q, e = I.p, I.q, 2 * inside - total
+    a = [(sums[1 << i], I.mask >> i & 1) for i in range(r.n)]
+    point, point_den = [2 * p * q * x - (q * e if m else -p * e) for x, m in a], 2 * p * q * den
+    if not _wall_point_ok(point, sig, I):
+        point = [x * total * (total - inside if m else inside) for x, m in a]
+        point_den = 2 * inside * (total - inside) * den
+    if not _wall_point_ok(point, sig, I):
         # the facet's max-margin point; a nonpositive margin means no facet
         pair = (I.mask, I.complement.mask)
-        chosen = _max_margin_point(sig, [(m, r.perimeter / 2) for m in pair], skip=pair)
-        if chosen is None or not _wall_point_ok(chosen, sig, I):
+        chosen = _max_margin_point(sig, [(m, Fraction(total, 2 * den)) for m in pair], skip=pair)
+        if chosen is None:
             raise DegenerateWall(f"the wall of {I} does not carry a facet of {sig}")
-    wall_point = LengthVector(chosen)
-    delta = r.perimeter / 4
+        point, point_den = _scaled(chosen)
+        if not _wall_point_ok(point, sig, I):
+            raise DegenerateWall(f"the wall of {I} does not carry a facet of {sig}")
+    # after = point/point_den + (P/4)/2^k·u over the denominator 4pq·2^k·point_den
+    size = sum(point)
+    step = [-q * size if I.mask >> i & 1 else p * size for i in range(r.n)]
+    base, after_den = [4 * p * q * x for x in point], 4 * p * q * point_den
     for _ in range(200):
-        after = _shifted(wall_point, u, delta)
-        if all(x > 0 for x in after):
-            candidate = LengthVector(after)
-            try:
-                if signature(candidate) == target:
-                    return wall_point, candidate
-            except SingularLength:
-                pass
-        delta /= 2
+        after = [x + s for x, s in zip(base, step)]
+        if all(x > 0 for x in after) and _short_bits(_subset_sums(after)) == target.shorts:
+            # equal short bits classify every pair, so after is generic
+            wall_point = LengthVector(tuple(Fraction(x, point_den) for x in point))
+            return wall_point, LengthVector(tuple(Fraction(x, after_den) for x in after))
+        base, after_den = [2 * x for x in base], 2 * after_den
     raise DegenerateWall(f"no generic point found just beyond the wall of {I} from {sig}")
 
 
@@ -660,7 +650,9 @@ def segment_crossings(
     return [crossings[t] for t in sorted(crossings)]
 
 
-def nudge_within_chamber(r: LengthVector, k: int) -> LengthVector | None:
+def nudge_within_chamber(
+    r: LengthVector, k: int, sig: ChamberSignature | None = None
+) -> LengthVector | None:
     """Deterministic retry-k perturbation of r staying inside its chamber.
 
     Adds a zero-perimeter direction drawn from a k-seeded generator, so
@@ -670,7 +662,7 @@ def nudge_within_chamber(r: LengthVector, k: int) -> LengthVector | None:
     over ±2^(n+10), so that ties among the 2ⁿ subset sums of the direction
     stay rare as n grows, and the magnitude is scaled to keep the step size
     of weights in ±1000.  Returns None when the candidate leaves the chamber
-    (caller tries k+1).
+    (caller tries k+1); passing `sig`, the chamber of r, saves signing r.
     """
     if k < 1:
         raise ValueError("retry counter starts at 1")
@@ -685,7 +677,7 @@ def nudge_within_chamber(r: LengthVector, k: int) -> LengthVector | None:
         return None
     candidate = LengthVector(tuple(values))
     try:
-        if signature(candidate) == signature(r):
+        if signature(candidate) == (signature(r) if sig is None else sig):
             return candidate
     except SingularLength:
         return None
@@ -742,7 +734,8 @@ def enumerate_chambers(
         rep = reps[sig]
         for short in sig.maximal_shorts:
             exit_set = short.complement
-            pair = frozenset((sig, sig.flip(exit_set)))
+            neighbor = sig.flip(exit_set)
+            pair = frozenset((sig, neighbor))
             if pair in probed:
                 # crossed (or proven facet-free) from the other side already
                 continue
@@ -753,7 +746,6 @@ def enumerate_chambers(
                 # combinatorially adjacent pair whose common wall carries no
                 # facet; not an edge of the chamber graph
                 continue
-            neighbor = signature(after)
             if neighbor not in reps:
                 if max_nodes is not None and len(reps) >= max_nodes:
                     raise BudgetExceeded(f"more than {max_nodes} chambers at n = {n}")

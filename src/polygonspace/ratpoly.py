@@ -223,7 +223,8 @@ class MultiPoly:
         if self.nvars != other.nvars:
             raise ValueError(f"mixed variable counts: {self.nvars} vs {other.nvars}")
 
-    def __add__(self, other: MultiPoly | Scalar) -> MultiPoly:
+    def _combine(self, other: MultiPoly | Scalar, subtract: bool) -> MultiPoly:
+        """self ± other in one pass over the terms of other."""
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.nvars, other)
         if not isinstance(other, MultiPoly):
@@ -231,12 +232,15 @@ class MultiPoly:
         self._require_same_shape(other)
         acc = dict(self._terms)
         for e, c in other._terms:
-            s = acc.get(e, Fraction(0)) + c
+            s = acc.get(e, 0) - c if subtract else acc.get(e, 0) + c
             if s:
                 acc[e] = s
             else:
                 acc.pop(e, None)
         return MultiPoly._from_terms(self.nvars, acc)
+
+    def __add__(self, other: MultiPoly | Scalar) -> MultiPoly:
+        return self._combine(other, False)
 
     __radd__ = __add__
 
@@ -244,11 +248,7 @@ class MultiPoly:
         return MultiPoly._from_terms(self.nvars, {e: -c for e, c in self._terms})
 
     def __sub__(self, other: MultiPoly | Scalar) -> MultiPoly:
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.nvars, other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, True)
 
     def __rsub__(self, other: Scalar) -> MultiPoly:
         return (-self) + other

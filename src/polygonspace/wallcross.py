@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from polygonspace.apolar import (
     CohomologyClass,
@@ -35,7 +35,7 @@ from polygonspace.chambers import (
     segment_crossings,
     signature,
 )
-from polygonspace.ratpoly import MultiPoly
+from polygonspace.ratpoly import MultiPoly, monomial_exponents
 from polygonspace.volume import Convention, NotAdjacent, wall_jump
 
 _MAX_NUDGES = 200
@@ -155,10 +155,10 @@ def crossing_report(
 
 
 def _generic_segment(
-    anchor: LengthVector, target: LengthVector
+    anchor: LengthVector, target: LengthVector, sig: ChamberSignature
 ) -> list[tuple[Fraction, Wall]]:
     """Crossings of anchor → target, nudging the target inside its chamber
-    until every crossing is single."""
+    sig until every crossing is single."""
     last: NonGenericSegment | None = None
     candidate = target
     k = 1
@@ -169,7 +169,7 @@ def _generic_segment(
             last = exc
         candidate = None
         while candidate is None and k <= _MAX_NUDGES:
-            candidate = nudge_within_chamber(target, k)
+            candidate = nudge_within_chamber(target, k, sig)
             k += 1
     raise last if last is not None else NonGenericSegment("no generic segment found")
 
@@ -194,7 +194,7 @@ def betti_via_path(r: LengthVector, anchor_index: int | None = None) -> tuple[in
     betti = [1] * (n - 2)
     if signature(anchor) == sig:
         return tuple(betti)
-    for _, wall in _generic_segment(anchor, r):
+    for _, wall in _generic_segment(anchor, r, sig):
         delta = betti_delta(wall.p, wall.q, n)
         betti = [b + d for b, d in zip(betti, delta)]
     return tuple(betti)
@@ -233,10 +233,12 @@ def validate_chamber(
     for short in sig.maximal_shorts:
         exit_set = short.complement
         _, jump = wall_jump(sig, sig.flip(exit_set))
-        form = MultiPoly.linear_form(
-            [1 if exit_set.mask >> i & 1 else -1 for i in range(n)]
-        )
-        expected = form ** (n - 3) * Fraction((-1) ** exit_set.q, factorial(n - 3))
+        # (−1)^q/(n−3)!·ε^(n−3) expanded: x^e has (−1)^q·∏ sᵢ^eᵢ/∏ eᵢ!, where
+        # sᵢ = ±1 is the sign of xᵢ in ε, −1 exactly off the exit set
+        minus = ~exit_set.mask
+        expected = MultiPoly._from_terms(n, {
+            e: Fraction((-1) ** (exit_set.q + sum(x for i, x in enumerate(e) if minus >> i & 1)),
+                        prod(map(factorial, e))) for e in monomial_exponents(n, n - 3)})
         checks.append((exit_set, jump == expected))
     agree = betti_a == betti_p
     return ChamberValidation(

@@ -10,6 +10,7 @@ import pytest
 from polygonspace import (
     BudgetExceeded,
     ChamberSignature,
+    DegenerateWall,
     IndexSet,
     LengthVector,
     NonGenericSegment,
@@ -29,6 +30,8 @@ from polygonspace import (
     segment_crossings,
     signature,
 )
+from polygonspace import exactlp
+from polygonspace.chambers import _max_margin_point
 
 from conftest import (
     BLOWUP_R,
@@ -365,6 +368,125 @@ def test_adjacent_representative_rejects_non_facets() -> None:
         adjacent_representative(CP2_R, iset(5, 3))  # short set
     with pytest.raises(NotAFacet):
         adjacent_representative(CP2_R, iset(5, 1, 2, 3))  # no facet there
+
+
+def _full_row_margin_lp(sig, sums, skip=()):
+    """The max-margin LP with a row for every complementary pair (oracle).
+
+    Same variables and objective as the library's facet-row LP: x ≥ λ, the
+    equalities Σ_{i∈m} xᵢ = value, and sign·ε_J(x) ≥ λ for every pair not
+    skipped.  Returns (λ, x) or None as exactlp.maximize does.
+    """
+    n = sig.n
+    ge_rows = []
+    for mask in range(1, (1 << n) - 1, 2):
+        if mask in skip:
+            continue
+        sign = -1 if sig.is_short(IndexSet(n, mask)) else 1
+        ge_rows.append(([sign if mask >> i & 1 else -sign for i in range(n)] + [-1], 0))
+    ge_rows += [([int(j == i) for j in range(n)] + [-1], 0) for i in range(n)]
+    eq_rows = [
+        ([value.denominator if mask >> i & 1 else 0 for i in range(n)] + [0], value.numerator)
+        for mask, value in sums
+    ]
+    return exactlp.maximize([0] * n + [1], eq_rows, ge_rows)
+
+
+def _margin(x, sig, skip=()):
+    """min(xᵢ, |ε_J(x)| over the pairs not skipped), in Fractions."""
+    n, total = sig.n, sum(x)
+    slacks = list(x)
+    for mask in range(1, (1 << n) - 1, 2):
+        if mask not in skip:
+            slacks.append(abs(2 * sum(v for i, v in enumerate(x) if mask >> i & 1) - total))
+    return min(slacks)
+
+
+def test_facet_row_lp_matches_full_lp(graph4, graph5) -> None:
+    for graph in (graph4, graph5):
+        n, full = graph.n, (1 << graph.n) - 1
+        for node in graph.nodes:
+            sig = node.signature
+            solved = _full_row_margin_lp(sig, [(full, F(1))])
+            assert solved is not None and solved[0] > 0
+            rep = representative(sig)
+            assert rep.lengths == solved[1][:n]
+            assert _margin(rep.lengths, sig) == solved[0]
+            for short in sig.maximal_shorts:
+                pair = (short.complement.mask, short.mask)
+                sums = [(m, F(1, 2)) for m in pair]
+                canonical = tuple(m for m in pair if m & 1)
+                facet = _max_margin_point(sig, sums, skip=canonical)
+                solved = _full_row_margin_lp(sig, sums, skip=canonical)
+                if solved is None or solved[0] <= 0:
+                    assert facet is None
+                    continue
+                assert facet == solved[1][:n]
+                assert _margin(facet, sig, canonical) == solved[0]
+
+
+def _wall_point_valid(x, sig, I) -> bool:
+    """Positive, ε_I(x) = 0 and every other pair strictly on its chamber side."""
+    n, total = sig.n, sum(x)
+    if any(v <= 0 for v in x):
+        return False
+    for mask in range(1, (1 << n) - 1):
+        twice = 2 * sum(v for i, v in enumerate(x) if mask >> i & 1)
+        if mask in (I.mask, I.complement.mask):
+            if twice != total:
+                return False
+        elif twice == total or (twice < total) != sig.is_short(IndexSet(n, mask)):
+            return False
+    return True
+
+
+def _in_chamber(x, sig) -> bool:
+    if any(v <= 0 for v in x):
+        return False
+    try:
+        return signature(LengthVector.from_values(x)) == sig
+    except SingularLength:
+        return False
+
+
+def test_integer_crossing_is_exact() -> None:
+    # the wall point is the first valid one of r + (ε_I/2)·u, r scaled to
+    # P/2 on each side, and the facet LP's point, all made here in Fractions
+    rng = random.Random(401)
+    hits = [0, 0, 0]
+    for n in range(4, 8):
+        for _ in range(4):
+            r = random_generic(rng, n)
+            sig = signature(r)
+            P = r.perimeter
+            for short in sig.maximal_shorts:
+                I = short.complement
+                u = [F(-1, I.p) if I.contains(i + 1) else F(1, I.q) for i in range(n)]
+                e = epsilon(r, I)
+                inside = sum(x for i, x in enumerate(r) if I.contains(i + 1))
+                scale = [P / 2 / (inside if I.contains(i + 1) else P - inside) for i in range(n)]
+                canonical = tuple(m for m in (I.mask, short.mask) if m & 1)
+                solved = _full_row_margin_lp(sig, [(I.mask, P / 2), (short.mask, P / 2)], canonical)
+                candidates = [
+                    tuple(x + e / 2 * ux for x, ux in zip(r, u)),
+                    tuple(x * c for x, c in zip(r, scale)),
+                    solved[1][:n] if solved is not None and solved[0] > 0 else (F(0),) * n,
+                ]
+                valid = [_wall_point_valid(c, sig, I) for c in candidates]
+                try:
+                    wall_point, after = adjacent_representative(r, I)
+                except DegenerateWall:
+                    assert not any(valid)
+                    continue
+                k = valid.index(True)
+                hits[k] += 1
+                assert wall_point.lengths == candidates[k]
+                target = sig.flip(I)
+                delta = P / 4
+                while not _in_chamber([w + delta * ux for w, ux in zip(wall_point, u)], target):
+                    delta /= 2
+                assert after.lengths == tuple(w + delta * ux for w, ux in zip(wall_point, u))
+    assert all(hits), hits
 
 
 def test_segment_crossings_examples() -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -27,6 +29,7 @@ from polygonspace import (
     signature,
     validate_chamber,
 )
+from polygonspace import cli, wallcross
 
 from conftest import (
     BLOWUP_R,
@@ -279,6 +282,31 @@ def test_validate_chamber_rejects_empty() -> None:
     sig = signature(LengthVector.parse("10,1,1,1"))
     with pytest.raises(EmptyChamber, match="cannot validate the empty space"):
         validate_chamber(sig)
+
+
+def test_validate_detects_a_wrong_jump(monkeypatch, blowup_sig) -> None:
+    bad_wall = blowup_sig.maximal_shorts[0].complement
+    true_jump = wallcross.wall_jump
+
+    def flipped_jump(sig0, sig1):
+        flipped, jump = true_jump(sig0, sig1)
+        if flipped == bad_wall:
+            (e, c), *rest = jump.terms()
+            jump = MultiPoly(jump.nvars, [(e, -c), *rest])
+        return flipped, jump
+
+    monkeypatch.setattr(wallcross, "wall_jump", flipped_jump)
+    result = validate_chamber(blowup_sig, rep=BLOWUP_R)
+    assert result.betti_agree
+    assert dict(result.jump_checks) == {
+        short.complement: short.complement != bad_wall for short in blowup_sig.maximal_shorts
+    }
+    assert not result.passed
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["validate", "--r", ",".join(BLOWUP_R.to_strings())], out, err) == 1
+    doc = json.loads(out.getvalue())
+    assert doc["passed"] is False
+    assert [c["ok"] for c in doc["jump_checks"]].count(False) == 1
 
 
 def test_jump_checks_name_exit_walls(cp2_sig) -> None:
