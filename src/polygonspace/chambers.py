@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
-from math import lcm
+from math import gcd, lcm
 from typing import Container, Iterable, Iterator, Sequence
 
 from polygonspace import exactlp
@@ -93,7 +93,8 @@ class LengthVector:
     lengths: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lengths", tuple(Fraction(x) for x in self.lengths))
+        lengths = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in self.lengths)
+        object.__setattr__(self, "lengths", lengths)
         if len(self.lengths) < 3:
             raise ValueError(f"need at least 3 side lengths, got {len(self.lengths)}")
         if any(x <= 0 for x in self.lengths):
@@ -577,13 +578,22 @@ def adjacent_representative(
         raise ValueError(f"index set over {I.n} indices applied to {r.n} lengths")
     den = lcm(*(x.denominator for x in r))
     sums = _generic_sums(r, den)
-    total, inside = sums[-1], sums[I.mask]
-    if 2 * inside <= total:
+    if 2 * sums[I.mask] <= sums[-1]:
         raise NotAFacet(f"{I} is not long at r = {r}")
-    sig = ChamberSignature(r.n, _short_bits(sums))
-    target = sig.flip(I)  # validates that Iᶜ is a maximal short set
+    sig = ChamberSignature(r.n, _short_bits(sums))  # sig.flip(I) checks Iᶜ is maximal short
+    point, point_den, after, after_den, _ = _cross(sig, sig.flip(I), sums, den, I)
+    wall_point = LengthVector(tuple(Fraction(x, point_den) for x in point))
+    return wall_point, LengthVector(tuple(Fraction(x, after_den) for x in after))
+
+
+def _cross(sig: ChamberSignature, target: ChamberSignature, sums: list[int], den: int,
+           I: IndexSet) -> tuple[list[int], int, list[int], int, list[int]]:
+    """adjacent_representative in integers, from the subset sums of den·r:
+    (wall point, its denominator, point beyond, its denominator, the latter's
+    subset sums), the point beyond in lowest terms, so a walk's ints stay small."""
+    total, inside = sums[-1], sums[I.mask]
     p, q, e = I.p, I.q, 2 * inside - total
-    a = [(sums[1 << i], I.mask >> i & 1) for i in range(r.n)]
+    a = [(sums[1 << i], I.mask >> i & 1) for i in range(I.n)]
     point, point_den = [2 * p * q * x - (q * e if m else -p * e) for x, m in a], 2 * p * q * den
     if not _wall_point_ok(point, sig, I):
         point = [x * total * (total - inside if m else inside) for x, m in a]
@@ -592,21 +602,23 @@ def adjacent_representative(
         # the facet's max-margin point; a nonpositive margin means no facet
         pair = (I.mask, I.complement.mask)
         chosen = _max_margin_point(sig, [(m, Fraction(total, 2 * den)) for m in pair], skip=pair)
-        if chosen is None:
-            raise DegenerateWall(f"the wall of {I} does not carry a facet of {sig}")
-        point, point_den = _scaled(chosen)
-        if not _wall_point_ok(point, sig, I):
+        if chosen is not None:
+            point, point_den = _scaled(chosen)
+        if chosen is None or not _wall_point_ok(point, sig, I):
             raise DegenerateWall(f"the wall of {I} does not carry a facet of {sig}")
     # after = point/point_den + (P/4)/2^k·u over the denominator 4pq·2^k·point_den
     size = sum(point)
-    step = [-q * size if I.mask >> i & 1 else p * size for i in range(r.n)]
+    step = [-q * size if m else p * size for _, m in a]
     base, after_den = [4 * p * q * x for x in point], 4 * p * q * point_den
     for _ in range(200):
         after = [x + s for x, s in zip(base, step)]
-        if all(x > 0 for x in after) and _short_bits(_subset_sums(after)) == target.shorts:
-            # equal short bits classify every pair, so after is generic
-            wall_point = LengthVector(tuple(Fraction(x, point_den) for x in point))
-            return wall_point, LengthVector(tuple(Fraction(x, after_den) for x in after))
+        if all(x > 0 for x in after):
+            after_sums = _subset_sums(after)
+            if _short_bits(after_sums) == target.shorts:
+                # equal short bits classify every pair, so after is generic
+                g = gcd(after_den, *after)
+                after, after_den = [x // g for x in after], after_den // g
+                return point, point_den, after, after_den, [s // g for s in after_sums]
         base, after_den = [2 * x for x in base], 2 * after_den
     raise DegenerateWall(f"no generic point found just beyond the wall of {I} from {sig}")
 
@@ -723,25 +735,27 @@ def enumerate_chambers(
     """
     if not 3 <= n <= n_limit:
         raise ValueError(f"n = {n} outside the tractable range 3..{n_limit}")
-    start = external_representative(n)
-    start_sig = signature(start)
-    reps: dict[ChamberSignature, LengthVector] = {start_sig: start}
+    if max_nodes is not None and max_nodes < 1:
+        raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
+    scaled, den = _scaled(external_representative(n).lengths)
+    start_sums = _subset_sums(scaled)
+    start_sig = ChamberSignature(n, _short_bits(start_sums))
+    reps: dict[ChamberSignature, tuple[list[int], int]] = {start_sig: (start_sums, den)}
     found: list[tuple[ChamberSignature, ChamberSignature, Wall]] = []
-    probed: set[frozenset[ChamberSignature]] = set()
+    done: set[ChamberSignature] = set()
     queue: deque[ChamberSignature] = deque([start_sig])
     while queue:
         sig = queue.popleft()
-        rep = reps[sig]
+        done.add(sig)
+        sums, den = reps[sig]
         for short in sig.maximal_shorts:
             exit_set = short.complement
             neighbor = sig.flip(exit_set)
-            pair = frozenset((sig, neighbor))
-            if pair in probed:
-                # crossed (or proven facet-free) from the other side already
+            if neighbor in done:
+                # probed from there already, as I is a maximal short set there
                 continue
-            probed.add(pair)
             try:
-                _, after = adjacent_representative(rep, exit_set)
+                *_, after_den, after_sums = _cross(sig, neighbor, sums, den, exit_set)
             except DegenerateWall:
                 # combinatorially adjacent pair whose common wall carries no
                 # facet; not an edge of the chamber graph
@@ -749,13 +763,15 @@ def enumerate_chambers(
             if neighbor not in reps:
                 if max_nodes is not None and len(reps) >= max_nodes:
                     raise BudgetExceeded(f"more than {max_nodes} chambers at n = {n}")
-                reps[neighbor] = after
+                reps[neighbor] = (after_sums, after_den)
                 queue.append(neighbor)
             found.append((sig, neighbor, Wall(exit_set)))
-    ordered = sorted(reps, key=lambda s: s.sort_key())
-    index_of = {sig: i for i, sig in enumerate(ordered)}
+    ordered = sorted(reps.items(), key=lambda item: item[0].sort_key())
+    index_of = {sig: i for i, (sig, _) in enumerate(ordered)}
     nodes = tuple(
-        ChamberNode(sig, reps[sig], sig.is_empty(), sig.is_external()) for sig in ordered
+        ChamberNode(sig, LengthVector(tuple(Fraction(sums[1 << i], den) for i in range(n))),
+                    sig.is_empty(), sig.is_external())
+        for sig, (sums, den) in ordered
     )
     edges = sorted(
         ((index_of[a], index_of[b], wall) for a, b, wall in found),

@@ -119,17 +119,11 @@ def _is_poly_doc(value: object) -> bool:
 
 
 def _fmt_scalar(value: object) -> str:
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return str(value)
+    return json.dumps(value) if isinstance(value, bool) else str(value)
 
 
 def _scalar_list(value: object) -> bool:
-    return isinstance(value, list) and not any(
-        isinstance(x, (dict, list)) for x in value
-    )
+    return isinstance(value, list) and not any(isinstance(x, (dict, list)) for x in value)
 
 
 def _render(value: object, key: str, indent: int, lines: list[str]) -> None:
@@ -497,6 +491,8 @@ def _validation_doc(report: ChamberValidation) -> dict[str, object]:
 
 
 def _cmd_validate(args: argparse.Namespace) -> tuple[dict[str, object], int]:
+    if args.limit is not None and args.limit < 1:
+        raise ValueError(f"--limit must be at least 1, got {args.limit}")
     if args.r is not None:
         r = _lengths(args.r)
         report = validate_chamber(signature(r), r)
@@ -637,7 +633,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--to", dest="r_to", required=True, help="end lengths")
 
     p = add("chambers", "Enumerate every chamber for n sides with facet adjacency.")
-    p.add_argument("--n", type=int, required=True, help="number of sides (3..9)")
+    p.add_argument("--n", type=int, required=True, help="number of sides (3..6; 7..9 impractical)")
     p.add_argument(
         "--max-nodes",
         type=int,

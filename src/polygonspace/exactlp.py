@@ -1,13 +1,13 @@
 """Exact rational linear programming for small dense problems.
 
 Two-phase primal simplex over arbitrary-precision integers: every tableau
-row is kept as a primitive integer vector (content divided out after each
-pivot), so no rational arithmetic happens inside the pivot loop.  The
-entering rule is Dantzig's (most negative reduced cost) until a run of
-degenerate pivots suggests cycling, after which it permanently switches to
-Bland's rule, which guarantees termination.  Intended for the tiny systems
-that arise when locating chamber points; no sparsity, no large-scale
-ambitions.
+row and the cost row of both phases is a primitive integer vector (content
+divided out after each pivot), so no rational arithmetic happens between
+the scaled input rows and the final vertex.  The entering rule is Dantzig's
+(most negative reduced cost) until a run of degenerate pivots suggests
+cycling, after which it permanently switches to Bland's rule, which
+guarantees termination.  Intended for the tiny systems that arise when
+locating chamber points; no sparsity, no large-scale ambitions.
 """
 
 from __future__ import annotations
@@ -98,15 +98,14 @@ def maximize(
         rows = [rows[r][:width] + rows[r][-1:] for r in keep]
         basis = [basis[r] for r in keep]
 
-    cost = [Fraction(-c) for c in objective] + [Fraction(0)] * (nge + 1)
+    # basic entries d > 0: d·cost − factor·row is a positive multiple of cost − factor·row/d
+    cost = _integer_row([-c for c in objective])[0] + [0] * (nge + 1)
     for r, row in enumerate(rows):
-        factor = cost[basis[r]]
+        factor, d = cost[basis[r]], row[basis[r]]
         if factor:
-            d = Fraction(row[basis[r]])
-            for j in range(width + 1):
-                cost[j] -= factor * row[j] / d
-    icost = _integer_row(cost)[0]
-    _pivot_to_optimum(rows, icost, basis)
+            cost = [c * d - factor * v for c, v in zip(cost, row)]
+            _primitive(cost)
+    _pivot_to_optimum(rows, cost, basis)
 
     point = [Fraction(0)] * nvars
     for r, b in enumerate(basis):

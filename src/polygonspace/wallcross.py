@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 
 from polygonspace.apolar import (
@@ -200,6 +201,16 @@ def betti_via_path(r: LengthVector, anchor_index: int | None = None) -> tuple[in
     return tuple(betti)
 
 
+@lru_cache(maxsize=256)
+def _expected_jump(n: int, exit_mask: int) -> MultiPoly:
+    """(−1)^q/(n−3)!·ε^(n−3) for the exit set of exit_mask, expanded: x^e has
+    (−1)^q·∏ sᵢ^eᵢ/∏ eᵢ!, sᵢ = ±1 the sign of xᵢ in ε (−1 off the exit set)."""
+    minus, q = ~exit_mask, n - exit_mask.bit_count()
+    return MultiPoly._from_terms(n, {
+        e: Fraction((-1) ** (q + sum(x for i, x in enumerate(e) if minus >> i & 1)),
+                    prod(map(factorial, e))) for e in monomial_exponents(n, n - 3)})
+
+
 @dataclass(frozen=True)
 class ChamberValidation:
     """Cross-validation outcome for one chamber; passed is the conjunction."""
@@ -226,20 +237,13 @@ def validate_chamber(
         raise EmptyChamber(f"cannot validate the empty space: {sig}")
     if rep is None:
         rep = representative(sig)
-    n = sig.n
     betti_a = betti_numbers(sig, Convention.homogeneous())
     betti_p = betti_via_path(rep)
     checks: list[tuple[IndexSet, bool]] = []
     for short in sig.maximal_shorts:
         exit_set = short.complement
         _, jump = wall_jump(sig, sig.flip(exit_set))
-        # (−1)^q/(n−3)!·ε^(n−3) expanded: x^e has (−1)^q·∏ sᵢ^eᵢ/∏ eᵢ!, where
-        # sᵢ = ±1 is the sign of xᵢ in ε, −1 exactly off the exit set
-        minus = ~exit_set.mask
-        expected = MultiPoly._from_terms(n, {
-            e: Fraction((-1) ** (exit_set.q + sum(x for i, x in enumerate(e) if minus >> i & 1)),
-                        prod(map(factorial, e))) for e in monomial_exponents(n, n - 3)})
-        checks.append((exit_set, jump == expected))
+        checks.append((exit_set, jump == _expected_jump(sig.n, exit_set.mask)))
     agree = betti_a == betti_p
     return ChamberValidation(
         signature=sig,

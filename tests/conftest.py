@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 from math import factorial, prod
 from typing import Sequence
@@ -11,10 +12,15 @@ import pytest
 
 from polygonspace.chambers import (
     ChamberGraph,
+    ChamberNode,
     ChamberSignature,
+    DegenerateWall,
     LengthVector,
     SingularLength,
+    Wall,
+    adjacent_representative,
     enumerate_chambers,
+    external_representative,
     signature,
 )
 from polygonspace.ratpoly import MultiPoly, matrix_rank, monomial_exponents
@@ -55,6 +61,46 @@ def graph5() -> ChamberGraph:
 @pytest.fixture(scope="session")
 def graph6() -> ChamberGraph:
     return enumerate_chambers(6)
+
+
+def reference_walk(n: int) -> ChamberGraph:
+    """The chamber graph by a breadth-first walk through the public
+    ``adjacent_representative``, one ``LengthVector`` held per chamber.
+
+    Crosses every facet wall of every discovered chamber once per chamber
+    pair, from the first side to reach it, and orders nodes and edges as
+    ``enumerate_chambers`` documents.  Oracle for its integer walk.
+    """
+    start = external_representative(n)
+    reps = {signature(start): start}
+    found: list[tuple[ChamberSignature, ChamberSignature, Wall]] = []
+    probed: set[frozenset[ChamberSignature]] = set()
+    queue = deque(reps)
+    while queue:
+        sig = queue.popleft()
+        for short in sig.maximal_shorts:
+            exit_set = short.complement
+            neighbor = sig.flip(exit_set)
+            if frozenset((sig, neighbor)) in probed:
+                continue
+            probed.add(frozenset((sig, neighbor)))
+            try:
+                _, after = adjacent_representative(reps[sig], exit_set)
+            except DegenerateWall:
+                continue
+            assert signature(after) == neighbor
+            if neighbor not in reps:
+                reps[neighbor] = after
+                queue.append(neighbor)
+            found.append((sig, neighbor, Wall(exit_set)))
+    ordered = sorted(reps, key=lambda s: s.sort_key())
+    index_of = {sig: i for i, sig in enumerate(ordered)}
+    nodes = tuple(ChamberNode(s, reps[s], s.is_empty(), s.is_external()) for s in ordered)
+    edges = sorted(
+        ((index_of[a], index_of[b], wall) for a, b, wall in found),
+        key=lambda e: (e[0], e[1], e[2].index_set.sort_key),
+    )
+    return ChamberGraph(n, nodes, tuple(edges))
 
 
 def random_positive(rng: random.Random) -> Fraction:

@@ -41,6 +41,7 @@ from conftest import (
     random_empty,
     random_generic,
     random_nonempty,
+    reference_walk,
     short_masks,
 )
 
@@ -688,6 +689,27 @@ def test_graph_budget_and_range() -> None:
         enumerate_chambers(2)
     with pytest.raises(ValueError, match="outside the tractable range"):
         enumerate_chambers(10)
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match="max_nodes must be at least 1"):
+            enumerate_chambers(4, max_nodes=budget)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_integer_walk_matches_reference_walk(n: int) -> None:
+    graph = enumerate_chambers(n)
+    reference = reference_walk(n)
+    assert [node.signature for node in graph.nodes] == [node.signature for node in reference.nodes]
+    assert [node.representative for node in graph.nodes] == [
+        node.representative for node in reference.nodes
+    ]
+    assert graph.edges == reference.edges
+
+
+def test_length_vector_keeps_fractions() -> None:
+    third = Fraction(1, 3)
+    r = LengthVector((third, third, 1))
+    assert r.lengths[0] is third and r.lengths[1] is third
+    assert r.lengths[2] == Fraction(1) and type(r.lengths[2]) is Fraction
 
 
 def test_nonempty_sampler_matches_signature_flags() -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -220,6 +221,23 @@ def test_chambers_budget_exit() -> None:
     assert "more than 10 chambers at n = 5" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chambers", "--n", "5", "--max-nodes", "0"],
+        ["chambers", "--n", "5", "--max-nodes", "-3"],
+        ["validate", "--n", "5", "--limit", "0"],
+        ["validate", "--n", "5", "--limit", "-1"],
+    ],
+)
+def test_counts_below_one_are_usage_errors(argv: list[str]) -> None:
+    code, out, err = invoke(argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be at least 1" in err
+
+
 def test_validate_single_and_exhaustive() -> None:
     doc = invoke_json(["validate", "--r", BLOWUP])
     assert doc["betti_apolar"] == [1, 2, 1]
@@ -237,6 +255,27 @@ def test_validate_single_and_exhaustive() -> None:
 
     doc = invoke_json(["validate", "--n", "4", "--limit", "2", "--full"])
     assert len(doc["reports"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["chambers", "--n", "4"],
+         "a213c319ee031a97c1747920d99f990ff0df14d351bcb36c15cfcff8d9c98451"),
+        (["chambers", "--n", "5"],
+         "4108fed26ad87f918401b3baae69c54c0a1a8e335982c350bfec525bb04fe477"),
+        (["chambers", "--n", "5", "--counts-only"],
+         "0613f403904f827fda3c4e73a4016e480df672b2f428b326870698b442a80809"),
+        (["validate", "--n", "5", "--full"],
+         "87b8decbf5bf5f865ebba042756e043453e0f0660de3636d3ff1f17cac720bec"),
+    ],
+)
+def test_census_documents_are_byte_stable(argv: list[str], digest: str) -> None:
+    # SHA-256 of stdout as the Fraction-based walk printed it: the integer
+    # walk must reproduce every representative and edge byte for byte
+    code, out, err = invoke(argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------- exit codes

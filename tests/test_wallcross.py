@@ -6,6 +6,7 @@ import io
 import json
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -314,3 +315,15 @@ def test_jump_checks_name_exit_walls(cp2_sig) -> None:
     named = {exit_set for exit_set, _ in result.jump_checks}
     expected = {short.complement for short in cp2_sig.maximal_shorts}
     assert named == expected
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_expected_jump_cache_matches_linear_form_power(n: int) -> None:
+    # the closed form (−1)^q/(n−3)!·ε_I^(n−3), expanded by MultiPoly powers
+    for mask in range(1, (1 << n) - 1):
+        exit_set = IndexSet(n, mask)
+        form = MultiPoly.linear_form([1 if mask >> i & 1 else -1 for i in range(n)])
+        expected = form ** (n - 3) * Fraction((-1) ** exit_set.q, factorial(n - 3))
+        cached = wallcross._expected_jump(n, mask)
+        assert cached == expected
+        assert wallcross._expected_jump(n, mask) is cached
