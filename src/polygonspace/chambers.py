@@ -581,16 +581,15 @@ def adjacent_representative(
     if 2 * sums[I.mask] <= sums[-1]:
         raise NotAFacet(f"{I} is not long at r = {r}")
     sig = ChamberSignature(r.n, _short_bits(sums))  # sig.flip(I) checks Iᶜ is maximal short
-    point, point_den, after, after_den, _ = _cross(sig, sig.flip(I), sums, den, I)
+    point, point_den, after, after_den = _cross(sig, sig.flip(I), sums, den, I)
     wall_point = LengthVector(tuple(Fraction(x, point_den) for x in point))
     return wall_point, LengthVector(tuple(Fraction(x, after_den) for x in after))
 
 
 def _cross(sig: ChamberSignature, target: ChamberSignature, sums: list[int], den: int,
-           I: IndexSet) -> tuple[list[int], int, list[int], int, list[int]]:
+           I: IndexSet) -> tuple[list[int], int, list[int], int]:
     """adjacent_representative in integers, from the subset sums of den·r:
-    (wall point, its denominator, point beyond, its denominator, the latter's
-    subset sums), the point beyond in lowest terms, so a walk's ints stay small."""
+    (wall point, its denominator, point beyond, its denominator)."""
     total, inside = sums[-1], sums[I.mask]
     p, q, e = I.p, I.q, 2 * inside - total
     a = [(sums[1 << i], I.mask >> i & 1) for i in range(I.n)]
@@ -612,13 +611,11 @@ def _cross(sig: ChamberSignature, target: ChamberSignature, sums: list[int], den
     base, after_den = [4 * p * q * x for x in point], 4 * p * q * point_den
     for _ in range(200):
         after = [x + s for x, s in zip(base, step)]
-        if all(x > 0 for x in after):
-            after_sums = _subset_sums(after)
-            if _short_bits(after_sums) == target.shorts:
-                # equal short bits classify every pair, so after is generic
-                g = gcd(after_den, *after)
-                after, after_den = [x // g for x in after], after_den // g
-                return point, point_den, after, after_den, [s // g for s in after_sums]
+        if all(x > 0 for x in after) and _short_bits(_subset_sums(after)) == target.shorts:
+            # equal short bits classify every pair, so after is generic; lowest
+            # terms keep the integers of a walk small
+            g = gcd(after_den, *after)
+            return point, point_den, [x // g for x in after], after_den // g
         base, after_den = [2 * x for x in base], 2 * after_den
     raise DegenerateWall(f"no generic point found just beyond the wall of {I} from {sig}")
 
@@ -737,17 +734,17 @@ def enumerate_chambers(
         raise ValueError(f"n = {n} outside the tractable range 3..{n_limit}")
     if max_nodes is not None and max_nodes < 1:
         raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
-    scaled, den = _scaled(external_representative(n).lengths)
-    start_sums = _subset_sums(scaled)
-    start_sig = ChamberSignature(n, _short_bits(start_sums))
-    reps: dict[ChamberSignature, tuple[list[int], int]] = {start_sig: (start_sums, den)}
+    start = external_representative(n)
+    start_sig = signature(start)
+    reps: dict[ChamberSignature, tuple[list[int], int]] = {start_sig: _scaled(start.lengths)}
     found: list[tuple[ChamberSignature, ChamberSignature, Wall]] = []
     done: set[ChamberSignature] = set()
     queue: deque[ChamberSignature] = deque([start_sig])
     while queue:
         sig = queue.popleft()
         done.add(sig)
-        sums, den = reps[sig]
+        scaled, den = reps[sig]
+        sums = _subset_sums(scaled)
         for short in sig.maximal_shorts:
             exit_set = short.complement
             neighbor = sig.flip(exit_set)
@@ -755,7 +752,7 @@ def enumerate_chambers(
                 # probed from there already, as I is a maximal short set there
                 continue
             try:
-                *_, after_den, after_sums = _cross(sig, neighbor, sums, den, exit_set)
+                *_, after, after_den = _cross(sig, neighbor, sums, den, exit_set)
             except DegenerateWall:
                 # combinatorially adjacent pair whose common wall carries no
                 # facet; not an edge of the chamber graph
@@ -763,15 +760,15 @@ def enumerate_chambers(
             if neighbor not in reps:
                 if max_nodes is not None and len(reps) >= max_nodes:
                     raise BudgetExceeded(f"more than {max_nodes} chambers at n = {n}")
-                reps[neighbor] = (after_sums, after_den)
+                reps[neighbor] = (after, after_den)
                 queue.append(neighbor)
             found.append((sig, neighbor, Wall(exit_set)))
     ordered = sorted(reps.items(), key=lambda item: item[0].sort_key())
     index_of = {sig: i for i, (sig, _) in enumerate(ordered)}
     nodes = tuple(
-        ChamberNode(sig, LengthVector(tuple(Fraction(sums[1 << i], den) for i in range(n))),
+        ChamberNode(sig, LengthVector(tuple(Fraction(x, den) for x in scaled)),
                     sig.is_empty(), sig.is_external())
-        for sig, (sums, den) in ordered
+        for sig, (scaled, den) in ordered
     )
     edges = sorted(
         ((index_of[a], index_of[b], wall) for a, b, wall in found),

@@ -119,11 +119,17 @@ def _is_poly_doc(value: object) -> bool:
 
 
 def _fmt_scalar(value: object) -> str:
-    return json.dumps(value) if isinstance(value, bool) else str(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return str(value)
 
 
 def _scalar_list(value: object) -> bool:
-    return isinstance(value, list) and not any(isinstance(x, (dict, list)) for x in value)
+    return isinstance(value, list) and not any(
+        isinstance(x, (dict, list)) for x in value
+    )
 
 
 def _render(value: object, key: str, indent: int, lines: list[str]) -> None:

@@ -201,7 +201,7 @@ def betti_via_path(r: LengthVector, anchor_index: int | None = None) -> tuple[in
     return tuple(betti)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=64)  # one entry per exit set: 2^6 cover a whole walk at n <= 6
 def _expected_jump(n: int, exit_mask: int) -> MultiPoly:
     """(−1)^q/(n−3)!·ε^(n−3) for the exit set of exit_mask, expanded: x^e has
     (−1)^q·∏ sᵢ^eᵢ/∏ eᵢ!, sᵢ = ±1 the sign of xᵢ in ε (−1 off the exit set)."""

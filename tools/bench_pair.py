@@ -1,17 +1,18 @@
 """Paired benchmark runs: a base commit against the working tree.
 
-    python3 tools/bench_pair.py --label NAME [--base REV] [--pairs 10]
-        [--seconds 30] [--seeds 1,2,3,4,5] [--workloads census,ring,queries]
-        [--case-repeats 3]
+    python3 tools/bench_pair.py --label NAME [--base REV]
 
 Run from the repository root; it needs git and the standard library only.
 Both sides are copied into a temporary directory first: REV (default HEAD)
 with ``git archive``, the working tree as the files git tracks or would
 track.  Then, for each workload, it runs ``perfbench/run.py --trace 0`` on
-the two copies in pairs, alternating which side runs first, the seed of
-pair k being the k-th of ``--seeds`` (cycled).  The end-to-end cases that
-no workload covers (``CASES``) are timed the same way, alternating, in a
-fresh interpreter each.  Every run has bytecode caching off.
+the two copies in ``PAIRS`` pairs, each run as long as ``BENCHMARK.json``'s
+``run_seconds``, alternating which side runs first, the seed of pair k
+being the k-th of ``SEEDS`` (cycled).
+The end-to-end cases that no workload covers (``CASES``) are timed the same
+way, ``CASE_PAIRS`` alternating pairs in a fresh interpreter each.  Every
+run has bytecode caching off.  These settings are fixed so that every
+record is taken under the same conditions.
 
 The result goes to ``BENCH_<NAME>.json`` at the root: for each workload and
 metric the first quartile, median and third quartile of each side, and the
@@ -38,6 +39,10 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
+WORKLOADS = ("census", "ring", "queries")
+PAIRS = 10  # at least ten pairs, so that nine of ten can be read as a win
+SEEDS = (1, 2, 3, 4, 5)
+CASE_PAIRS = 3
 # End-to-end commands timed outside the workloads, as one CLI process each.
 CASES = {
     "chambers_n6_counts_only_s": ["-m", "polygonspace.cli", "chambers", "--n", "6", "--counts-only"],
@@ -118,16 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--base", default="HEAD", help="commit to compare against (default HEAD)")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30)
-    parser.add_argument("--seeds", default="1,2,3,4,5", help="comma-separated, cycled over the pairs")
-    parser.add_argument("--workloads", default="census,ring,queries")
-    parser.add_argument("--case-repeats", type=int, default=3,
-                        help="pairs of runs for each end-to-end case (0 skips them)")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.case_repeats < 0:
-        parser.error("--pairs must be at least 1 and --case-repeats at least 0")
-    seeds = [int(s) for s in args.seeds.split(",")]
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
@@ -143,21 +139,21 @@ def main(argv: list[str] | None = None) -> int:
             "machine": {"nproc": os.cpu_count(), "python": platform.python_version()},
             "base": {"rev": args.base, "sha": base_sha, "src_lines": src_lines(trees["base"])},
             "change": {"parent_sha": base_sha, "src_lines": src_lines(trees["change"])},
-            "pairs": args.pairs, "seconds": args.seconds, "seeds": seeds, "workloads": {},
+            "pairs": PAIRS, "seconds": spec["run_seconds"], "seeds": list(SEEDS), "workloads": {},
         }
-        for workload in args.workloads.split(","):
+        for workload in WORKLOADS:
             runs, failed, correct = [], {side: 0 for side in SIDES}, True
-            for k in range(args.pairs):
-                seed = seeds[k % len(seeds)]
+            for k in range(PAIRS):
+                seed = SEEDS[k % len(SEEDS)]
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
                 run = {"seed": seed, "first": order[0]}
                 for side in order:
-                    result = run_workload(trees[side], workload, seed, args.seconds)
+                    result = run_workload(trees[side], workload, seed, spec["run_seconds"])
                     run[side] = {name: m["value"] for name, m in result["metrics"].items()}
                     failed[side] += result["failed"]
                     correct = correct and result["correct"]
                 runs.append(run)
-                print(f"{workload} pair {k + 1}/{args.pairs} seed {seed}: "
+                print(f"{workload} pair {k + 1}/{PAIRS} seed {seed}: "
                       + ", ".join(f"{s} wall_s {run[s].get('wall_s', 0):.4f}" for s in SIDES),
                       file=sys.stderr)
             units = {name: m["unit"] for name, m in result["metrics"].items()}
@@ -165,16 +161,14 @@ def main(argv: list[str] | None = None) -> int:
                 "units": units, "correct": correct, "failed_ops": failed,
                 "metrics": summarize(runs, better), "runs": runs,
             }
-        if args.case_repeats:
-            cases = {}
-            for name, case_argv in CASES.items():
-                runs = []
-                for k in range(args.case_repeats):
-                    order = SIDES if k % 2 == 0 else SIDES[::-1]
-                    runs.append({"first": order[0], **{s: {name: time_case(trees[s], case_argv)} for s in order}})
-                cases[name] = {"command": " ".join(["python3", *case_argv]), "unit": "s",
-                               **summarize(runs, {})[name], "runs": runs}
-            record["cases"] = cases
+        record["cases"] = {}
+        for name, case_argv in CASES.items():
+            runs = []
+            for k in range(CASE_PAIRS):
+                order = SIDES if k % 2 == 0 else SIDES[::-1]
+                runs.append({"first": order[0], **{s: {name: time_case(trees[s], case_argv)} for s in order}})
+            record["cases"][name] = {"command": " ".join(["python3", *case_argv]), "unit": "s",
+                                     **summarize(runs, {})[name], "runs": runs}
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(out)
