@@ -155,14 +155,6 @@ def _rank_and_annihilator(pres: Presented, d: int) -> tuple[int, list[dict[Expon
     return rank, [{domain[col]: c for col, c in vec.items()} for vec in kernel]
 
 
-def _primitive(row: dict[int, Fraction | int]) -> dict[int, int]:
-    """The row scaled to coprime integers (an empty row stays empty)."""
-    den = lcm(*(v.denominator for v in row.values()))
-    ints = {k: int(v * den) for k, v in row.items()}
-    content = gcd(*ints.values())
-    return {k: v // content for k, v in ints.items()}
-
-
 def _reduce_modulo(
     kernel: list[dict[Exponents, Fraction]],
     prev_kernel: list[dict[Exponents, Fraction]],
@@ -176,31 +168,47 @@ def _reduce_modulo(
     monomials, where g_k is the unit vector e_k.  e_k lies in
     span(xᵢ·K_{d−1}) + span(e₀..e_{k−1}) exactly when some vector of the
     first span has its last nonzero coordinate at k, so the new positions
-    are those at which no row of an echelon form of the xᵢ·g ends.  Rows are
-    primitive integer dicts, eliminated fraction-free with the content
-    divided out after each step; once their rank reaches dim K_d no position
-    is left, and the remaining products are not formed.
+    are those at which no row of an echelon form of the xᵢ·g ends, in
+    whatever order the rows are taken.  Each g is scaled to integers once
+    and its products are read off those integers.  A product whose last
+    position is free enters as it is; the others are eliminated
+    fraction-free with their content divided out, until the rank reaches
+    dim K_d.
     """
     position = {next(reversed(g)): k for k, g in enumerate(kernel)}
+    shifts: dict[Exponents, list[tuple[int, int]]] = {}  # x^e -> (i, position of xᵢ·x^e)
     echelon: dict[int, dict[int, int]] = {}  # last position -> row ending there
+    deferred = []
     for g in prev_kernel:
-        for i in range(nvars):
-            if len(echelon) == len(kernel):
-                return []
-            shifted = (position.get(e[:i] + (e[i] + 1,) + e[i + 1 :]) for e in g)
-            row = _primitive({k: c for k, c in zip(shifted, g.values()) if k is not None})
-            while row:
-                last = max(row)
-                base = echelon.get(last)
-                if base is None:
-                    echelon[last] = row
-                    break
-                a, b = base[last], row[last]
-                row = _primitive({
-                    k: v
-                    for k in row.keys() | base.keys()
-                    if (v := a * row.get(k, 0) - b * base.get(k, 0))
-                })
+        den = lcm(*(c.denominator for c in g.values()))
+        rows: list[dict[int, int]] = [{} for _ in range(nvars)]
+        for e, c in g.items():
+            if e not in shifts:
+                shifted = (position.get(e[:i] + (e[i] + 1,) + e[i + 1 :]) for i in range(nvars))
+                shifts[e] = [(i, k) for i, k in enumerate(shifted) if k is not None]
+            for i, k in shifts[e]:
+                rows[i][k] = c.numerator * (den // c.denominator)
+        for row in filter(None, rows):
+            if echelon.setdefault(max(row), row) is not row:  # last position taken
+                deferred.append(row)
+    for row in deferred:
+        if len(echelon) == len(kernel):
+            return []
+        while row:
+            last = max(row)
+            base = echelon.get(last)
+            if base is None:
+                echelon[last] = row
+                break
+            a, b = base[last], row[last]
+            row = {
+                k: v
+                for k in row.keys() | base.keys()
+                if (v := a * row.get(k, 0) - b * base.get(k, 0))
+            }
+            content = gcd(*row.values())
+            if content > 1:
+                row = {k: v // content for k, v in row.items()}
     return [k for k in range(len(kernel)) if k not in echelon]
 
 

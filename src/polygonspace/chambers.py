@@ -47,10 +47,7 @@ __all__ = [
     "enumerate_chambers",
     "epsilon",
     "external_representative",
-    "is_empty",
-    "is_external",
     "is_generic",
-    "long_sets",
     "nudge_within_chamber",
     "segment_crossings",
     "signature",
@@ -322,16 +319,6 @@ def is_generic(r: LengthVector) -> bool:
     return sums[-1] % 2 == 1 or sums[-1] // 2 not in sums
 
 
-def long_sets(r: LengthVector) -> list[IndexSet]:
-    """All proper nonempty long sets of a generic r, canonically sorted."""
-    return signature(r).long_sets()
-
-
-def is_empty(r: LengthVector) -> bool:
-    """True iff the polygon space is empty: some single side is long."""
-    return signature(r).is_empty()
-
-
 @dataclass(frozen=True)
 class ChamberSignature:
     """A chamber, held as the bitset of all its short sets (see _selectors).
@@ -455,11 +442,6 @@ class ChamberSignature:
 def signature(r: LengthVector) -> ChamberSignature:
     """The chamber signature of a generic r."""
     return ChamberSignature(r.n, _short_bits(_generic_sums(r)))
-
-
-def is_external(sig: ChamberSignature) -> bool:
-    """True iff the chamber is external (polygon space is CP^(n-3))."""
-    return sig.is_external()
 
 
 def canonical_form(sig: ChamberSignature) -> ChamberSignature:

@@ -13,6 +13,7 @@ Exit codes: 0 success; 1 internal failure or failed cross-validation;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -81,9 +82,16 @@ class _UsageError(Exception):
     """Replaces argparse's SystemExit so run() can map it to exit code 4."""
 
 
+class _HelpRequested(Exception):
+    """Carries the -h/--help text out of argparse so run() writes it to its stdout."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
+
+    def print_help(self, file: TextIO | None = None) -> None:
+        raise _HelpRequested(self.format_help())
 
 
 # -- rendering ---------------------------------------------------------------
@@ -540,6 +548,7 @@ _HANDLERS: dict[str, Handler] = {
 # -- argument parsing --------------------------------------------------------
 
 
+@functools.cache  # built once: configuration only, every parse makes a fresh namespace
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="polygonspace",
@@ -683,6 +692,9 @@ def run(
     err = sys.stderr if stderr is None else stderr
     try:
         args = _build_parser().parse_args(argv)
+    except _HelpRequested as exc:
+        out.write(str(exc))
+        return EXIT_OK
     except _UsageError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE

@@ -21,10 +21,7 @@ from polygonspace import (
     enumerate_chambers,
     epsilon,
     external_representative,
-    is_empty,
-    is_external,
     is_generic,
-    long_sets,
     nudge_within_chamber,
     representative,
     segment_crossings,
@@ -118,7 +115,7 @@ def test_epsilon_antisymmetry() -> None:
 
 
 def test_long_sets_of_cp2_chamber() -> None:
-    longs = long_sets(CP2_R)
+    longs = signature(CP2_R).long_sets()
     expected = (
         [iset(5, 3, j) for j in (1, 2, 4, 5)]
         + [
@@ -134,11 +131,11 @@ def test_long_sets_of_cp2_chamber() -> None:
 
 def test_long_sets_triangle_and_empty() -> None:
     triangle = LengthVector.parse("1,1,1")
-    assert long_sets(triangle) == [iset(3, 1, 2), iset(3, 1, 3), iset(3, 2, 3)]
+    assert signature(triangle).long_sets() == [iset(3, 1, 2), iset(3, 1, 3), iset(3, 2, 3)]
     spear = LengthVector.parse("10,1,1,1")
-    assert iset(4, 1) in long_sets(spear)
-    assert is_empty(spear)
-    assert not is_empty(LengthVector.parse("2,1,1,1"))
+    assert iset(4, 1) in signature(spear).long_sets()
+    assert signature(spear).is_empty()
+    assert not signature(LengthVector.parse("2,1,1,1")).is_empty()
 
 
 def test_singular_inputs_raise_with_witness() -> None:
@@ -148,7 +145,7 @@ def test_singular_inputs_raise_with_witness() -> None:
     assert "epsilon vanishes for I = {1,2}" in str(info.value)
 
     with pytest.raises(SingularLength) as info:
-        long_sets(LengthVector.parse("1,2,3"))
+        signature(LengthVector.parse("1,2,3")).long_sets()
     assert info.value.index_set == iset(3, 3)
 
     assert not is_generic(LengthVector.parse("1,1,1,1"))
@@ -168,7 +165,6 @@ def test_signature_triangle() -> None:
 def test_signature_cp2_chamber(cp2_sig: ChamberSignature) -> None:
     assert cp2_sig.to_lists() == [[3], [1, 2, 4], [1, 2, 5], [1, 4, 5], [2, 4, 5]]
     assert cp2_sig.is_external()
-    assert is_external(cp2_sig)
     assert not cp2_sig.is_empty()
     assert cp2_sig.is_short(iset(5, 3))
     assert cp2_sig.is_long(iset(5, 1, 3))
@@ -227,8 +223,8 @@ def test_signature_matches_brute_force_maximality() -> None:
         assert sig.is_external() == any(1 << i in maximal_masks(n, shorts) for i in range(n))
         assert {s.mask for s in sig.short_sets()} == shorts
         assert {s.mask for s in sig.long_sets()} == set(range(1, (1 << n) - 1)) - shorts
-        assert [s.mask for s in long_sets(r)] == [s.mask for s in sig.long_sets()]
-        assert sig.is_empty() == is_empty(r) == any(1 << i not in shorts for i in range(n))
+        assert [s.mask for s in signature(r).long_sets()] == [s.mask for s in sig.long_sets()]
+        assert sig.is_empty() == signature(r).is_empty() == any(1 << i not in shorts for i in range(n))
 
 
 def test_signature_validation_rejects_bad_families_n6() -> None:

@@ -278,6 +278,42 @@ def test_census_documents_are_byte_stable(argv: list[str], digest: str) -> None:
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+RING_N6_CLASSES = ("1,2,2,2,2,6", "1,1,1,4,4,4", "1,1,1,2,2,4", "1,1,1,1,2,3", "1,1,1,1,1,2")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["ring", "--r", r, "--convention", conv], digest)
+        for r, digests in zip(RING_N6_CLASSES, [
+            ("661178aee8eaa3c2e398e3e91574fd7a4c9d78a9d46fb3018183a6f80f1e8b60",
+             "40b743379841561ec8f622619ba76d5fa9cc4ed2d349e5d66e4c03649bafbc16"),
+            ("83b6c53267794ecbefe95183b20b2e2cea5bb98171b136769c85d23ecbe2291b",
+             "d398da9b3bfbdab5bd6b441f86405f1c216d555de48ce8bb4f9241b5fba52c2d"),
+            ("f97af39e351f6fa469ed5f0e6b66b6db5a33909997f5544f6bd61d0500354464",
+             "f09b8077b4dc4e07369e8ed654492e0ce145fc765fa58e82a73c4274909bb39d"),
+            ("c4d65ad2f74238b5ed62bfcc449b528798d6b9d5bfa35e3a4ec62c6c92d2b38a",
+             "921a8aee10919358bbab580b1a72ec66431e6b09aacc90e0d9d69bdee8793735"),
+            ("fc053e0e1030311eba1c0f85e33569553b11f24dff9d13b336486223ac962c82",
+             "1d6b7e95fcb44b37a5fb0e7bef8d65c7cd656840a371d64231b48b986b317d79"),
+        ])
+        for conv, digest in zip(("homogeneous", "affine:1"), digests)
+    ] + [
+        (["ring", "--r", R7],
+         "f71c42448a0238eae71fad59ff1a5f2a750f6af535620cbcfc00d733b4083914"),
+        (["ring", "--r", "94,150,15,130,55,10,23,112"],
+         "e7fec1d8b6b73cbb4a7961345fba008d15f0b61c7a3011f287e1b5a021a047e4"),
+    ],
+)
+def test_ring_documents_are_byte_stable(argv: list[str], digest: str) -> None:
+    # SHA-256 of stdout as the Fraction-based annihilator reduction printed
+    # it: one chamber of each n = 6 class with 2 <= b2 <= 6 in both
+    # conventions, and one chamber each at n = 7 and n = 8
+    code, out, err = invoke(argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -320,6 +356,32 @@ def test_exit_usage_errors() -> None:
     assert invoke(["validate", "--r", CP2, "--n", "4"])[0] == 4
     assert invoke(["validate"])[0] == 4
     assert invoke(["chambers", "--n", "77"])[0] == 4
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["ring", "-h"], ["ring", "--r", CP2, "--help"]])
+def test_help_goes_to_the_given_stdout(argv: list[str], capsys) -> None:
+    code, out, err = invoke(argv)
+    assert code == 0 and not err
+    assert out.startswith("usage: polygonspace ring" if "ring" in argv else "usage: polygonspace [-h]")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_shared_parser_gives_the_same_answers_every_time() -> None:
+    errors = {
+        ("validate", "--r", "X", "--n", "5"): "error: argument --n: not allowed with argument --r\n",
+        ("ring",): "error: the following arguments are required: --r\n",
+        ("betti", "--r", CP2, "--method", "nope"): (
+            "error: argument --method: invalid choice: 'nope' "
+            "(choose from 'apolar', 'wallcross', 'both')\n"
+        ),
+    }
+    valid = [["ring", "--r", CP2], ["validate", "--n", "4"], ["betti", "--r", BLOWUP, "--method", "apolar"]]
+    first = {tuple(argv): invoke(argv) for argv in valid}
+    assert all(code == 0 and out and not err for code, out, err in first.values())
+    for _ in range(3):
+        for (argv, message), good in zip(errors.items(), valid):
+            assert invoke(list(argv)) == (cli.EXIT_USAGE, "", message)
+            assert invoke(good) == first[tuple(good)]
 
 
 def test_per_point_commands_cap_the_side_count() -> None:

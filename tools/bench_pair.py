@@ -43,9 +43,15 @@ WORKLOADS = ("census", "ring", "queries")
 PAIRS = 10  # at least ten pairs, so that nine of ten can be read as a win
 SEEDS = (1, 2, 3, 4, 5)
 CASE_PAIRS = 3
-# End-to-end commands timed outside the workloads, as one CLI process each.
+# End-to-end commands timed outside the workloads, as one CLI process each:
+# the census at n = 6 and single-point ring and betti at n = 7, 8, 9.
+CLI = ["-m", "polygonspace.cli"]
+POINTS = {7: "83,39,102,167,13,19,138", 8: "94,150,15,130,55,10,23,112",
+          9: "150,15,130,55,10,23,112,108,18"}
 CASES = {
-    "chambers_n6_counts_only_s": ["-m", "polygonspace.cli", "chambers", "--n", "6", "--counts-only"],
+    "chambers_n6_counts_only_s": [*CLI, "chambers", "--n", "6", "--counts-only"],
+    **{f"ring_n{n}_s": [*CLI, "ring", "--r", r] for n, r in POINTS.items()},
+    **{f"betti_apolar_n{n}_s": [*CLI, "betti", "--r", r, "--method", "apolar"] for n, r in POINTS.items()},
 }
 
 
