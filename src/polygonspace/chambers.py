@@ -709,8 +709,11 @@ def enumerate_chambers(
 ) -> ChamberGraph:
     """Breadth-first enumeration of every chamber (empty ones included).
 
-    Starts from a constructed external representative and crosses every facet
-    wall of every discovered chamber; deterministic node order and adjacency.
+    Starts from a constructed external representative and crosses a facet
+    wall only to reach a new chamber: two held chambers differing in one pair
+    {I, Iᶜ} are adjacent, as the segment between their generic points keeps
+    every other ε strictly signed and so meets the wall of I alone, at a
+    facet point of both.  Node order and adjacency are deterministic.
     """
     if not 3 <= n <= n_limit:
         raise ValueError(f"n = {n} outside the tractable range 3..{n_limit}")
@@ -733,13 +736,13 @@ def enumerate_chambers(
             if neighbor in done:
                 # probed from there already, as I is a maximal short set there
                 continue
-            try:
-                *_, after, after_den = _cross(sig, neighbor, sums, den, exit_set)
-            except DegenerateWall:
-                # combinatorially adjacent pair whose common wall carries no
-                # facet; not an edge of the chamber graph
-                continue
             if neighbor not in reps:
+                try:
+                    *_, after, after_den = _cross(sig, neighbor, sums, den, exit_set)
+                except DegenerateWall:
+                    # combinatorially adjacent pair whose common wall carries
+                    # no facet; not an edge of the chamber graph
+                    continue
                 if max_nodes is not None and len(reps) >= max_nodes:
                     raise BudgetExceeded(f"more than {max_nodes} chambers at n = {n}")
                 reps[neighbor] = (after, after_den)

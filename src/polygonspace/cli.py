@@ -665,13 +665,13 @@ def _build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--r", default=None, help="validate the chamber of r")
     group.add_argument(
-        "--n", type=int, default=None, help="validate every nonempty chamber for n"
+        "--n", type=int, default=None, help="validate every nonempty chamber for n (3..6; 7..9 impractical)"
     )
     p.add_argument(
         "--limit",
         type=int,
         default=None,
-        help="with --n: stop after this many chambers",
+        help="with --n: stop after this many chambers (the whole chamber graph is still walked first)",
     )
     p.add_argument(
         "--full",

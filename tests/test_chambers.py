@@ -28,7 +28,7 @@ from polygonspace import (
     signature,
 )
 from polygonspace import exactlp
-from polygonspace.chambers import _max_margin_point
+from polygonspace.chambers import _max_margin_point, _selectors
 
 from conftest import (
     BLOWUP_R,
@@ -631,6 +631,22 @@ def test_graph_edges_are_facet_adjacencies(graph4, graph5) -> None:
             assert src.signature.adjacent_pair_with(dst.signature) == wall.index_set
             assert epsilon(src.representative, wall.index_set) > 0
             assert epsilon(dst.representative, wall.index_set) < 0
+
+
+def test_edges_are_exactly_the_one_pair_neighbors(graph4, graph5, graph6) -> None:
+    # the walk records an edge to a chamber it already holds without crossing
+    # the wall; brute force over node pairs: one flipped pair means adjacent
+    for graph in (graph4, graph5, graph6):
+        ones = _selectors(graph.n)[0]  # one member of each complementary pair
+        keys = [node.signature.shorts & ones for node in graph.nodes]
+        one_pair = {
+            (i, j)
+            for i in range(len(keys))
+            for j in range(i + 1, len(keys))
+            if (keys[i] ^ keys[j]).bit_count() == 1
+        }
+        assert {(min(a, b), max(a, b)) for a, b, _ in graph.edges} == one_pair
+        assert len(graph.edges) == len(one_pair)
 
 
 def test_flip_and_adjacency_match_set_definitions(graph5) -> None:

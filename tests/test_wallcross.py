@@ -29,8 +29,10 @@ from polygonspace import (
     nudge_within_chamber,
     signature,
     validate_chamber,
+    wall_jump,
 )
 from polygonspace import cli, wallcross
+from polygonspace.volume import Presented
 
 from conftest import (
     BLOWUP_R,
@@ -287,16 +289,16 @@ def test_validate_chamber_rejects_empty() -> None:
 
 def test_validate_detects_a_wrong_jump(monkeypatch, blowup_sig) -> None:
     bad_wall = blowup_sig.maximal_shorts[0].complement
-    true_jump = wallcross.wall_jump
+    true_table = wallcross._expected_table
 
-    def flipped_jump(sig0, sig1):
-        flipped, jump = true_jump(sig0, sig1)
-        if flipped == bad_wall:
-            (e, c), *rest = jump.terms()
-            jump = MultiPoly(jump.nvars, [(e, -c), *rest])
-        return flipped, jump
+    def flipped_table(n, exit_mask):
+        table = true_table(n, exit_mask)
+        if exit_mask == bad_wall.mask:
+            (e, c), *rest = table.poly.terms()
+            table = Presented(MultiPoly(n, [(e, -c), *rest]))
+        return table
 
-    monkeypatch.setattr(wallcross, "wall_jump", flipped_jump)
+    monkeypatch.setattr(wallcross, "_expected_table", flipped_table)
     result = validate_chamber(blowup_sig, rep=BLOWUP_R)
     assert result.betti_agree
     assert dict(result.jump_checks) == {
@@ -308,6 +310,21 @@ def test_validate_detects_a_wrong_jump(monkeypatch, blowup_sig) -> None:
     doc = json.loads(out.getvalue())
     assert doc["passed"] is False
     assert [c["ok"] for c in doc["jump_checks"]].count(False) == 1
+
+
+def test_integer_jump_check_agrees_with_wall_jump(graph5) -> None:
+    # both orientations of every edge, against the right closed form and
+    # against the one of the complementary set, which has the opposite sign
+    for a, b, wall in graph5.edges:
+        sig_a, sig_b = graph5.nodes[a].signature, graph5.nodes[b].signature
+        for sig0, sig1, exit_set in ((sig_a, sig_b, wall.index_set),
+                                     (sig_b, sig_a, wall.index_set.complement)):
+            flipped, jump = wall_jump(sig0, sig1)
+            assert flipped == exit_set
+            for mask in (exit_set.mask, exit_set.complement.mask):
+                agrees = wallcross._jump_agrees(sig0, sig1, mask)
+                assert agrees == (jump == wallcross._expected_jump(5, mask))
+                assert agrees == (mask == exit_set.mask)
 
 
 def test_jump_checks_name_exit_walls(cp2_sig) -> None:

@@ -10,20 +10,26 @@ the two copies in ``PAIRS`` pairs, each run as long as ``BENCHMARK.json``'s
 ``run_seconds``, alternating which side runs first, the seed of pair k
 being the k-th of ``SEEDS`` (cycled).
 The end-to-end cases that no workload covers (``CASES``) are timed the same
-way, ``CASE_PAIRS`` alternating pairs in a fresh interpreter each.  Every
-run has bytecode caching off.  These settings are fixed so that every
-record is taken under the same conditions.
+way, ``CASE_PAIRS`` alternating pairs in a fresh interpreter each.  Since
+a machine's speed can switch between states (about 1.6x apart on the 2-core
+machine this benchmark was built on), each case time is also scaled, as ``perfbench/run.py`` scales operation times, by
+the median time of its reference loop, sampled around the case and every
+``GAUGE_PERIOD_S`` while it runs: scaled = raw x ``REFERENCE_S`` /
+reference time.  Every run has bytecode caching off.  These settings are
+fixed so that every record is taken under the same conditions.
 
 The result goes to ``BENCH_<NAME>.json`` at the root: for each workload and
 metric the first quartile, median and third quartile of each side, and the
 pairs the working tree won (strictly better in the direction
-``BENCHMARK.json`` gives); every run's values; and each side's commit and
-``src/`` line count.
+``BENCHMARK.json`` gives); for each case the same of ``raw_s``,
+``scaled_s`` and ``reference_s``; every run's values; and each side's
+commit and ``src/`` line count.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -42,14 +48,17 @@ SIDES = ("base", "change")
 WORKLOADS = ("census", "ring", "queries")
 PAIRS = 10  # at least ten pairs, so that nine of ten can be read as a win
 SEEDS = (1, 2, 3, 4, 5)
-CASE_PAIRS = 3
+CASE_PAIRS = 5
+REFERENCE_AROUND = 3  # reference loops right before and right after each case
 # End-to-end commands timed outside the workloads, as one CLI process each:
-# the census at n = 6 and single-point ring and betti at n = 7, 8, 9.
+# the census and the validation at n = 6 and single-point ring and betti at
+# n = 7, 8, 9.
 CLI = ["-m", "polygonspace.cli"]
 POINTS = {7: "83,39,102,167,13,19,138", 8: "94,150,15,130,55,10,23,112",
           9: "150,15,130,55,10,23,112,108,18"}
 CASES = {
     "chambers_n6_counts_only_s": [*CLI, "chambers", "--n", "6", "--counts-only"],
+    "validate_n6_s": [*CLI, "validate", "--n", "6"],
     **{f"ring_n{n}_s": [*CLI, "ring", "--r", r] for n, r in POINTS.items()},
     **{f"betti_apolar_n{n}_s": [*CLI, "betti", "--r", r, "--method", "apolar"] for n, r in POINTS.items()},
 }
@@ -99,11 +108,43 @@ def run_workload(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def time_case(tree: Path, argv: list[str]) -> float:
-    env = dict(_env(), PYTHONPATH=str(tree / "src"))
+def _load_perfbench_run():
+    """perfbench/run.py as a module, for its reference loop."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.reference_work()  # the first pass in a process runs slow; not a sample
+    return module
+
+
+def _reference_s(bench) -> float:
     start = perf_counter()
-    subprocess.run([sys.executable, *argv], cwd=tree, env=env, check=True, capture_output=True)
+    bench.reference_work()
     return perf_counter() - start
+
+
+def time_case(tree: Path, argv: list[str], bench) -> dict[str, float]:
+    """Wall seconds of one fresh process; the median time of the reference
+    loop, run REFERENCE_AROUND times right before and right after it and once
+    every GAUGE_PERIOD_S while it runs; and the wall time scaled to the
+    reference speed.  The process's end is seen at most one loop late."""
+    env = dict(_env(), PYTHONPATH=str(tree / "src"))
+    samples = [_reference_s(bench) for _ in range(REFERENCE_AROUND)]
+    start = perf_counter()
+    with subprocess.Popen([sys.executable, *argv], cwd=tree, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL) as proc:
+        while True:
+            try:
+                proc.wait(timeout=bench.GAUGE_PERIOD_S)
+                break
+            except subprocess.TimeoutExpired:
+                samples.append(_reference_s(bench))
+    raw = perf_counter() - start
+    if proc.returncode:
+        raise RuntimeError(f"{' '.join(argv)} in {tree} exited with {proc.returncode}")
+    samples += [_reference_s(bench) for _ in range(REFERENCE_AROUND)]
+    reference = statistics.median(samples)
+    return {"raw_s": raw, "scaled_s": raw * bench.REFERENCE_S / reference, "reference_s": reference}
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -167,14 +208,17 @@ def main(argv: list[str] | None = None) -> int:
                 "units": units, "correct": correct, "failed_ops": failed,
                 "metrics": summarize(runs, better), "runs": runs,
             }
-        record["cases"] = {}
+        record["cases"], bench = {}, _load_perfbench_run()
+        record["reference_s_nominal"] = bench.REFERENCE_S
         for name, case_argv in CASES.items():
             runs = []
             for k in range(CASE_PAIRS):
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
-                runs.append({"first": order[0], **{s: {name: time_case(trees[s], case_argv)} for s in order}})
+                runs.append({"first": order[0], **{s: time_case(trees[s], case_argv, bench) for s in order}})
+            print(f"{name}: " + ", ".join(f"{s} scaled {statistics.median(r[s]['scaled_s'] for r in runs):.3f} s"
+                                          for s in SIDES), file=sys.stderr)
             record["cases"][name] = {"command": " ".join(["python3", *case_argv]), "unit": "s",
-                                     **summarize(runs, {})[name], "runs": runs}
+                                     **summarize(runs, {}), "runs": runs}
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(out)
