@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from operator import add
 
 from polygonspace.chambers import ChamberSignature, IndexSet
 from polygonspace.ratpoly import (
     Exponents,
     MultiPoly,
+    _primitive,
+    _scaled,
     matrix_rank,
     monomial_exponents,
     sparse_kernel,
@@ -180,14 +181,13 @@ def _reduce_modulo(
     echelon: dict[int, dict[int, int]] = {}  # last position -> row ending there
     deferred = []
     for g in prev_kernel:
-        den = lcm(*(c.denominator for c in g.values()))
         rows: list[dict[int, int]] = [{} for _ in range(nvars)]
-        for e, c in g.items():
+        for e, c in zip(g, _scaled(list(g.values()))[0]):
             if e not in shifts:
                 shifted = (position.get(e[:i] + (e[i] + 1,) + e[i + 1 :]) for i in range(nvars))
                 shifts[e] = [(i, k) for i, k in enumerate(shifted) if k is not None]
             for i, k in shifts[e]:
-                rows[i][k] = c.numerator * (den // c.denominator)
+                rows[i][k] = c
         for row in filter(None, rows):
             if echelon.setdefault(max(row), row) is not row:  # last position taken
                 deferred.append(row)
@@ -206,9 +206,7 @@ def _reduce_modulo(
                 for k in row.keys() | base.keys()
                 if (v := a * row.get(k, 0) - b * base.get(k, 0))
             }
-            content = gcd(*row.values())
-            if content > 1:
-                row = {k: v // content for k, v in row.items()}
+            row = dict(zip(row, _primitive(list(row.values()))))
     return [k for k in range(len(kernel)) if k not in echelon]
 
 
@@ -252,12 +250,6 @@ def annihilator_generators(
     return _ranks_and_generators(sig, conv)[1]
 
 
-def _integer_terms(poly: MultiPoly) -> tuple[int, list[tuple[Exponents, int]]]:
-    """(D, terms of D·poly), with D the lcm of the coefficients' denominators."""
-    den = lcm(*(c.denominator for _, c in poly.terms()))
-    return den, [(e, c.numerator * (den // c.denominator)) for e, c in poly.terms()]
-
-
 def is_zero_class(
     c: CohomologyClass, sig: ChamberSignature, conv: Convention
 ) -> bool:
@@ -274,9 +266,10 @@ def is_zero_class(
     if c.poly.is_zero or c.degree > pres.poly.degree():
         return True
     hankel = pres.hankel
-    _, q = _integer_terms(c.poly)
+    alphas, coeffs = zip(*c.poly.terms())
+    q = _scaled(coeffs)[0]
     return not any(
-        sum(qa * hankel.get(tuple(map(add, alpha, gamma)), 0) for alpha, qa in q)
+        sum(qa * hankel.get(tuple(map(add, alpha, gamma)), 0) for alpha, qa in zip(alphas, q))
         for gamma in _image_monomials(pres, c.degree)
     )
 
@@ -299,12 +292,11 @@ def poincare_pairing(
     if a.nvars != pres.poly.nvars or b.nvars != pres.poly.nvars:
         raise ValueError("class variable count does not match the convention")
     hankel = pres.hankel
-    da, ia = _integer_terms(a.poly)
-    db, ib = _integer_terms(b.poly)
+    (ia, da), (ib, db) = (_scaled([c for _, c in x.poly.terms()]) for x in (a, b))
     total = sum(
         ca * cb * hankel.get(tuple(map(add, alpha, beta)), 0)
-        for alpha, ca in ia
-        for beta, cb in ib
+        for (alpha, _), ca in zip(a.poly.terms(), ia)
+        for (beta, _), cb in zip(b.poly.terms(), ib)
     )
     return Fraction(total, pres.scale * da * db)
 

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
-from math import gcd, lcm
+from math import lcm
 from typing import Container, Iterable, Iterator, Sequence
 
 from polygonspace import exactlp
-from polygonspace.ratpoly import Scalar, format_rational, parse_rational
+from polygonspace.ratpoly import Scalar, _primitive, _scaled, format_rational, parse_rational
 
 __all__ = [
     "BudgetExceeded",
@@ -273,13 +273,6 @@ def _maximal(n: int, bits: int) -> int:
     return bits & ~below
 
 
-def _scaled(values: Sequence[Fraction], den: int | None = None) -> tuple[list[int], int]:
-    """(den·values, den) in integers; den defaults to the lcm of the denominators."""
-    if den is None:
-        den = lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
-
-
 def _subset_sums(a: Sequence[int]) -> list[int]:
     """sums[m] = Σ_{i∈m} aᵢ for all 2^n masks m."""
     sums = [0]
@@ -363,15 +356,8 @@ class ChamberSignature:
     def is_short(self, I: IndexSet) -> bool:
         return bool(self.shorts >> I.mask & 1)
 
-    def is_long(self, I: IndexSet) -> bool:
-        return not self.is_short(I)
-
     def _sets(self, bits: int) -> list[IndexSet]:
         return sorted((IndexSet(self.n, m) for m in _members(bits)), key=lambda s: s.sort_key)
-
-    def short_sets(self) -> list[IndexSet]:
-        """All proper nonempty short sets (down-closure), canonically sorted."""
-        return self._sets(self.shorts)
 
     def long_sets(self) -> list[IndexSet]:
         """All proper nonempty long sets, canonically sorted."""
@@ -579,14 +565,14 @@ def _cross(sig: ChamberSignature, target: ChamberSignature, sums: list[int], den
     if not _wall_point_ok(point, sig, I):
         point = [x * total * (total - inside if m else inside) for x, m in a]
         point_den = 2 * inside * (total - inside) * den
-    if not _wall_point_ok(point, sig, I):
-        # the facet's max-margin point; a nonpositive margin means no facet
-        pair = (I.mask, I.complement.mask)
-        chosen = _max_margin_point(sig, [(m, Fraction(total, 2 * den)) for m in pair], skip=pair)
-        if chosen is not None:
-            point, point_den = _scaled(chosen)
-        if chosen is None or not _wall_point_ok(point, sig, I):
-            raise DegenerateWall(f"the wall of {I} does not carry a facet of {sig}")
+        if not _wall_point_ok(point, sig, I):
+            # the facet's max-margin point; a nonpositive margin means no facet
+            pair = (I.mask, I.complement.mask)
+            chosen = _max_margin_point(sig, [(m, Fraction(total, 2 * den)) for m in pair], skip=pair)
+            if chosen is not None:
+                point, point_den = _scaled(chosen)
+            if chosen is None or not _wall_point_ok(point, sig, I):
+                raise DegenerateWall(f"the wall of {I} does not carry a facet of {sig}")
     # after = point/point_den + (P/4)/2^k·u over the denominator 4pq·2^k·point_den
     size = sum(point)
     step = [-q * size if m else p * size for _, m in a]
@@ -596,8 +582,8 @@ def _cross(sig: ChamberSignature, target: ChamberSignature, sums: list[int], den
         if all(x > 0 for x in after) and _short_bits(_subset_sums(after)) == target.shorts:
             # equal short bits classify every pair, so after is generic; lowest
             # terms keep the integers of a walk small
-            g = gcd(after_den, *after)
-            return point, point_den, [x // g for x in after], after_den // g
+            *after, after_den = _primitive([*after, after_den])
+            return point, point_den, after, after_den
         base, after_den = [2 * x for x in base], 2 * after_den
     raise DegenerateWall(f"no generic point found just beyond the wall of {I} from {sig}")
 
@@ -697,16 +683,11 @@ class ChamberGraph:
     nodes: tuple[ChamberNode, ...]
     edges: tuple[tuple[int, int, Wall], ...]
 
-    def node_index(self, sig: ChamberSignature) -> int:
-        for i, node in enumerate(self.nodes):
-            if node.signature == sig:
-                return i
-        raise KeyError(f"signature {sig} not in graph")
+
+_N_LIMIT = 9  # the largest n enumerate_chambers accepts
 
 
-def enumerate_chambers(
-    n: int, max_nodes: int | None = None, *, n_limit: int = 9
-) -> ChamberGraph:
+def enumerate_chambers(n: int, max_nodes: int | None = None) -> ChamberGraph:
     """Breadth-first enumeration of every chamber (empty ones included).
 
     Starts from a constructed external representative and crosses a facet
@@ -715,8 +696,8 @@ def enumerate_chambers(
     every other ε strictly signed and so meets the wall of I alone, at a
     facet point of both.  Node order and adjacency are deterministic.
     """
-    if not 3 <= n <= n_limit:
-        raise ValueError(f"n = {n} outside the tractable range 3..{n_limit}")
+    if not 3 <= n <= _N_LIMIT:
+        raise ValueError(f"n = {n} outside the tractable range 3..{_N_LIMIT}")
     if max_nodes is not None and max_nodes < 1:
         raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
     start = external_representative(n)

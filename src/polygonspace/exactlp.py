@@ -13,8 +13,9 @@ locating chamber points; no sparsity, no large-scale ambitions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Optional, Sequence
+
+from polygonspace.ratpoly import _primitive, _scaled
 
 Row = tuple[Sequence[Fraction | int], Fraction | int]
 
@@ -40,7 +41,7 @@ def maximize(
     # Each row is scaled to integers, its slack column (-1 on a >= row) with it.
     rows: list[list[int]] = []
     for k, (coeffs, rhs) in enumerate((*eq_rows, *ge_rows)):
-        scaled, den = _integer_row([*coeffs, rhs])
+        scaled, den = _scaled([*coeffs, rhs])
         slack = [0] * nge
         if k >= neq:
             slack[k - neq] = -den
@@ -99,12 +100,11 @@ def maximize(
         basis = [basis[r] for r in keep]
 
     # basic entries d > 0: d·cost − factor·row is a positive multiple of cost − factor·row/d
-    cost = _integer_row([-c for c in objective])[0] + [0] * (nge + 1)
+    cost = _scaled([-c for c in objective])[0] + [0] * (nge + 1)
     for r, row in enumerate(rows):
         factor, d = cost[basis[r]], row[basis[r]]
         if factor:
-            cost = [c * d - factor * v for c, v in zip(cost, row)]
-            _primitive(cost)
+            cost = _primitive([c * d - factor * v for c, v in zip(cost, row)])
     _pivot_to_optimum(rows, cost, basis)
 
     point = [Fraction(0)] * nvars
@@ -113,18 +113,6 @@ def maximize(
             point[b] = Fraction(rows[r][-1], rows[r][b])
     value = sum((Fraction(c) * x for c, x in zip(objective, point)), Fraction(0))
     return value, tuple(point)
-
-
-def _integer_row(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
-    """The values times the lcm of their denominators, and that lcm."""
-    den = lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
-
-
-def _primitive(row: list[int]) -> None:
-    g = gcd(*row)
-    if g > 1:
-        row[:] = [v // g for v in row]
 
 
 def _pivot_to_optimum(
@@ -183,15 +171,13 @@ def _pivot(
     if piv < 0:
         pivot_row[:] = [-v for v in pivot_row]
         piv = -piv
-    for other in rows:
+    for i, other in enumerate(rows):
         if other is pivot_row or other[j] == 0:
             continue
         f = other[j]
-        other[:] = [a * piv - b * f for a, b in zip(other, pivot_row)]
-        _primitive(other)
+        rows[i] = _primitive([a * piv - b * f for a, b in zip(other, pivot_row)])
     if cost is not None and cost[j] != 0:
         f = cost[j]
-        cost[:] = [a * piv - b * f for a, b in zip(cost, pivot_row)]
-        _primitive(cost)
-    _primitive(pivot_row)
+        cost[:] = _primitive([a * piv - b * f for a, b in zip(cost, pivot_row)])
+    rows[r] = _primitive(pivot_row)
     basis[r] = j

@@ -440,24 +440,27 @@ def monomial_exponents(nvars: int, degree: int) -> list[Exponents]:
 # -- exact linear algebra ----------------------------------------------------
 
 
+def _scaled(values: Sequence[Scalar], den: int | None = None) -> tuple[list[int], int]:
+    """(den·values, den) in integers; den defaults to the lcm of the denominators."""
+    if den is None:
+        den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries (the row itself if that is 0 or 1)."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def _integer_rows(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[int]]:
     """Copy of the matrix with each row scaled to integers (integer rows as they are)."""
     out = []
     for row in rows:
         if len(row) != ncols:
             raise ValueError("matrix rows differ in length")
-        if all(type(x) is int for x in row):
-            out.append(list(row))
-            continue
-        fr = [Fraction(x) for x in row]
-        den = math.lcm(*(x.denominator for x in fr))
-        out.append([int(x * den) for x in fr])
+        out.append(list(row) if all(type(x) is int for x in row) else _scaled(row)[0])
     return out
-
-
-def _primitive(row: list[int]) -> list[int]:
-    g = math.gcd(*row)
-    return [x // g for x in row] if g > 1 else row
 
 
 def _bareiss_echelon(mat: list[list[int]]) -> list[int]:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from polygonspace.chambers import ChamberSignature, IndexSet, LengthVector, _members, _proper, signature
-from polygonspace.ratpoly import MultiIndex, MultiPoly, monomial_exponents
+from polygonspace.ratpoly import MultiIndex, MultiPoly, _scaled, monomial_exponents
 
 SCALE_NOTE = "(2pi)^(n-3)"
 
@@ -121,11 +121,9 @@ class Presented:
     """
 
     def __init__(self, poly: MultiPoly) -> None:
-        weighted = {e: c * math.prod(math.factorial(k) for k in e) for e, c in poly.terms()}
-        scale = math.lcm(*(c.denominator for c in weighted.values()))
+        table, self.scale = _scaled([c * math.prod(map(math.factorial, e)) for e, c in poly.terms()])
         self.poly = poly
-        self.scale = scale
-        self.hankel = {e: c.numerator * (scale // c.denominator) for e, c in weighted.items()}
+        self.hankel = {e: w for (e, _), w in zip(poly.terms(), table)}
         self.homogeneous = poly.is_homogeneous()
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
 
 from polygonspace.apolar import (
     CohomologyClass,
@@ -36,8 +35,8 @@ from polygonspace.chambers import (
     segment_crossings,
     signature,
 )
-from polygonspace.ratpoly import MultiPoly, monomial_exponents
-from polygonspace.volume import Convention, NotAdjacent, Presented, volume_polynomial
+from polygonspace.ratpoly import monomial_exponents
+from polygonspace.volume import Convention, NotAdjacent, volume_polynomial
 
 _MAX_NUDGES = 200
 
@@ -202,26 +201,21 @@ def betti_via_path(r: LengthVector, anchor_index: int | None = None) -> tuple[in
 
 
 @lru_cache(maxsize=64)  # one entry per exit set: 2^6 cover a whole walk at n <= 6
-def _expected_jump(n: int, exit_mask: int) -> MultiPoly:
-    """(−1)^q/(n−3)!·ε^(n−3) for the exit set of exit_mask, expanded: x^e has
-    (−1)^q·∏ sᵢ^eᵢ/∏ eᵢ!, sᵢ = ±1 the sign of xᵢ in ε (−1 off the exit set)."""
+def _expected_table(n: int, exit_mask: int) -> dict[tuple[int, ...], int]:
+    """The Hankel table (scale 1) of (−1)^q/(n−3)!·ε^(n−3), ε the form of the
+    exit set: x^e has coefficient (−1)^q·∏ sᵢ^eᵢ/∏ eᵢ!, sᵢ = ±1 the sign of xᵢ
+    in ε (−1 off the exit set), so w_e = (−1)^(q + Σ_{i∉I} eᵢ)."""
     minus, q = ~exit_mask, n - exit_mask.bit_count()
-    return MultiPoly._from_terms(n, {
-        e: Fraction((-1) ** (q + sum(x for i, x in enumerate(e) if minus >> i & 1)),
-                    prod(map(factorial, e))) for e in monomial_exponents(n, n - 3)})
-
-
-@lru_cache(maxsize=64)
-def _expected_table(n: int, exit_mask: int) -> Presented:
-    return Presented(_expected_jump(n, exit_mask))
+    return {e: (-1) ** (q + sum(x for i, x in enumerate(e) if minus >> i & 1))
+            for e in monomial_exponents(n, n - 3)}
 
 
 def _jump_agrees(sig0: ChamberSignature, sig1: ChamberSignature, exit_mask: int) -> bool:
-    """v₁ − v₀ == _expected_jump(n, exit_mask): (w¹·D⁰ − w⁰·D¹)·Dˣ = wˣ·D⁰·D¹ on Hankel tables."""
+    """v₁ − v₀ is the closed form of exit_mask: w¹·D⁰ − w⁰·D¹ = wˣ·D⁰·D¹ on Hankel tables."""
     t0, t1 = (volume_polynomial(s).presented(Convention.homogeneous()) for s in (sig0, sig1))
     x, w0, w1, d0, d1 = _expected_table(sig0.n, exit_mask), t0.hankel, t1.hankel, t0.scale, t1.scale
-    return w0.keys() <= x.hankel.keys() >= w1.keys() and all(
-        (w1.get(e, 0) * d0 - w0.get(e, 0) * d1) * x.scale == w * d0 * d1 for e, w in x.hankel.items())
+    return w0.keys() <= x.keys() >= w1.keys() and all(
+        w1.get(e, 0) * d0 - w0.get(e, 0) * d1 == w * d0 * d1 for e, w in x.items())
 
 
 @dataclass(frozen=True)

@@ -359,7 +359,7 @@ def test_pd_class_base_must_belong() -> None:
 def test_pd_class_vanishes_iff_long(blowup_sig) -> None:
     long_pair = IndexSet.from_indices(5, (2, 3))
     short_pair = IndexSet.from_indices(5, (1, 3))
-    assert blowup_sig.is_long(long_pair)
+    assert not blowup_sig.is_short(long_pair)
     assert blowup_sig.is_short(short_pair)
     assert is_zero_class(pd_class(long_pair, 2), blowup_sig, HOM)
     assert not is_zero_class(pd_class(short_pair, 1), blowup_sig, HOM)

@@ -294,8 +294,8 @@ def test_validate_detects_a_wrong_jump(monkeypatch, blowup_sig) -> None:
     def flipped_table(n, exit_mask):
         table = true_table(n, exit_mask)
         if exit_mask == bad_wall.mask:
-            (e, c), *rest = table.poly.terms()
-            table = Presented(MultiPoly(n, [(e, -c), *rest]))
+            e = next(iter(table))
+            table = {**table, e: -table[e]}
         return table
 
     monkeypatch.setattr(wallcross, "_expected_table", flipped_table)
@@ -312,6 +312,12 @@ def test_validate_detects_a_wrong_jump(monkeypatch, blowup_sig) -> None:
     assert [c["ok"] for c in doc["jump_checks"]].count(False) == 1
 
 
+def closed_form_jump(n: int, exit_mask: int) -> MultiPoly:
+    """(−1)^q/(n−3)!·ε_I^(n−3), expanded by MultiPoly powers."""
+    form = MultiPoly.linear_form([1 if exit_mask >> i & 1 else -1 for i in range(n)])
+    return form ** (n - 3) * Fraction((-1) ** IndexSet(n, exit_mask).q, factorial(n - 3))
+
+
 def test_integer_jump_check_agrees_with_wall_jump(graph5) -> None:
     # both orientations of every edge, against the right closed form and
     # against the one of the complementary set, which has the opposite sign
@@ -323,7 +329,7 @@ def test_integer_jump_check_agrees_with_wall_jump(graph5) -> None:
             assert flipped == exit_set
             for mask in (exit_set.mask, exit_set.complement.mask):
                 agrees = wallcross._jump_agrees(sig0, sig1, mask)
-                assert agrees == (jump == wallcross._expected_jump(5, mask))
+                assert agrees == (jump == closed_form_jump(5, mask))
                 assert agrees == (mask == exit_set.mask)
 
 
@@ -334,13 +340,12 @@ def test_jump_checks_name_exit_walls(cp2_sig) -> None:
     assert named == expected
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_expected_jump_cache_matches_linear_form_power(n: int) -> None:
-    # the closed form (−1)^q/(n−3)!·ε_I^(n−3), expanded by MultiPoly powers
+    # the ±1 table is the Hankel table of the closed form expanded by powers
     for mask in range(1, (1 << n) - 1):
-        exit_set = IndexSet(n, mask)
-        form = MultiPoly.linear_form([1 if mask >> i & 1 else -1 for i in range(n)])
-        expected = form ** (n - 3) * Fraction((-1) ** exit_set.q, factorial(n - 3))
-        cached = wallcross._expected_jump(n, mask)
-        assert cached == expected
-        assert wallcross._expected_jump(n, mask) is cached
+        expected = Presented(closed_form_jump(n, mask))
+        cached = wallcross._expected_table(n, mask)
+        assert expected.scale == 1
+        assert cached == expected.hankel
+        assert wallcross._expected_table(n, mask) is cached

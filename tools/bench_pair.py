@@ -10,7 +10,10 @@ the two copies in ``PAIRS`` pairs, each run as long as ``BENCHMARK.json``'s
 ``run_seconds``, alternating which side runs first, the seed of pair k
 being the k-th of ``SEEDS`` (cycled).
 The end-to-end cases that no workload covers (``CASES``) are timed the same
-way, ``CASE_PAIRS`` alternating pairs in a fresh interpreter each.  Since
+way, ``CASE_PAIRS`` alternating pairs in a fresh interpreter each; a
+sub-second case is timed in each pair as the median of ``SHORT_REPEATS``
+processes run back to back on each side, since one start-up alone varies
+by more than the differences to resolve.  Since
 a machine's speed can switch between states (about 1.6x apart on the 2-core
 machine this benchmark was built on), each case time is also scaled, as ``perfbench/run.py`` scales operation times, by
 the median time of its reference loop, sampled around the case and every
@@ -49,18 +52,21 @@ WORKLOADS = ("census", "ring", "queries")
 PAIRS = 10  # at least ten pairs, so that nine of ten can be read as a win
 SEEDS = (1, 2, 3, 4, 5)
 CASE_PAIRS = 5
+SHORT_REPEATS = 5  # processes per side and pair for a sub-second case
 REFERENCE_AROUND = 3  # reference loops right before and right after each case
-# End-to-end commands timed outside the workloads, as one CLI process each:
-# the census and the validation at n = 6 and single-point ring and betti at
-# n = 7, 8, 9.
+# End-to-end commands timed outside the workloads, as CLI processes, with
+# the number of processes per side and pair: the census and the validation
+# at n = 6, and single-point ring and betti at n = 7, 8, 9, which take
+# 0.1-1 s each.
 CLI = ["-m", "polygonspace.cli"]
 POINTS = {7: "83,39,102,167,13,19,138", 8: "94,150,15,130,55,10,23,112",
           9: "150,15,130,55,10,23,112,108,18"}
 CASES = {
-    "chambers_n6_counts_only_s": [*CLI, "chambers", "--n", "6", "--counts-only"],
-    "validate_n6_s": [*CLI, "validate", "--n", "6"],
-    **{f"ring_n{n}_s": [*CLI, "ring", "--r", r] for n, r in POINTS.items()},
-    **{f"betti_apolar_n{n}_s": [*CLI, "betti", "--r", r, "--method", "apolar"] for n, r in POINTS.items()},
+    "chambers_n6_counts_only_s": ([*CLI, "chambers", "--n", "6", "--counts-only"], 1),
+    "validate_n6_s": ([*CLI, "validate", "--n", "6"], 1),
+    **{f"ring_n{n}_s": ([*CLI, "ring", "--r", r], SHORT_REPEATS) for n, r in POINTS.items()},
+    **{f"betti_apolar_n{n}_s": ([*CLI, "betti", "--r", r, "--method", "apolar"], SHORT_REPEATS)
+       for n, r in POINTS.items()},
 }
 
 
@@ -123,25 +129,29 @@ def _reference_s(bench) -> float:
     return perf_counter() - start
 
 
-def time_case(tree: Path, argv: list[str], bench) -> dict[str, float]:
-    """Wall seconds of one fresh process; the median time of the reference
-    loop, run REFERENCE_AROUND times right before and right after it and once
-    every GAUGE_PERIOD_S while it runs; and the wall time scaled to the
-    reference speed.  The process's end is seen at most one loop late."""
+def time_case(tree: Path, argv: list[str], repeats: int, bench) -> dict[str, float]:
+    """The median wall seconds of `repeats` fresh processes run back to back;
+    the median time of the reference loop, run REFERENCE_AROUND times right
+    before the first and right after the last and once every GAUGE_PERIOD_S
+    while they run; and that wall time scaled to the reference speed.  A
+    process's end is seen at most one loop late."""
     env = dict(_env(), PYTHONPATH=str(tree / "src"))
     samples = [_reference_s(bench) for _ in range(REFERENCE_AROUND)]
-    start = perf_counter()
-    with subprocess.Popen([sys.executable, *argv], cwd=tree, env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL) as proc:
-        while True:
-            try:
-                proc.wait(timeout=bench.GAUGE_PERIOD_S)
-                break
-            except subprocess.TimeoutExpired:
-                samples.append(_reference_s(bench))
-    raw = perf_counter() - start
-    if proc.returncode:
-        raise RuntimeError(f"{' '.join(argv)} in {tree} exited with {proc.returncode}")
+    times = []
+    for _ in range(repeats):
+        start = perf_counter()
+        with subprocess.Popen([sys.executable, *argv], cwd=tree, env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL) as proc:
+            while True:
+                try:
+                    proc.wait(timeout=bench.GAUGE_PERIOD_S)
+                    break
+                except subprocess.TimeoutExpired:
+                    samples.append(_reference_s(bench))
+        times.append(perf_counter() - start)
+        if proc.returncode:
+            raise RuntimeError(f"{' '.join(argv)} in {tree} exited with {proc.returncode}")
+    raw = statistics.median(times)
     samples += [_reference_s(bench) for _ in range(REFERENCE_AROUND)]
     reference = statistics.median(samples)
     return {"raw_s": raw, "scaled_s": raw * bench.REFERENCE_S / reference, "reference_s": reference}
@@ -210,15 +220,16 @@ def main(argv: list[str] | None = None) -> int:
             }
         record["cases"], bench = {}, _load_perfbench_run()
         record["reference_s_nominal"] = bench.REFERENCE_S
-        for name, case_argv in CASES.items():
+        for name, (case_argv, repeats) in CASES.items():
             runs = []
             for k in range(CASE_PAIRS):
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
-                runs.append({"first": order[0], **{s: time_case(trees[s], case_argv, bench) for s in order}})
+                runs.append({"first": order[0],
+                             **{s: time_case(trees[s], case_argv, repeats, bench) for s in order}})
             print(f"{name}: " + ", ".join(f"{s} scaled {statistics.median(r[s]['scaled_s'] for r in runs):.3f} s"
                                           for s in SIDES), file=sys.stderr)
             record["cases"][name] = {"command": " ".join(["python3", *case_argv]), "unit": "s",
-                                     **summarize(runs, {}), "runs": runs}
+                                     "processes_per_side": repeats, **summarize(runs, {}), "runs": runs}
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(out)
