@@ -56,7 +56,6 @@ from polygonspace.volume import (
 )
 from polygonspace.wallcross import (
     ChamberValidation,
-    EmptyTarget,
     betti_via_path,
     crossing_report,
     validate_chamber,
@@ -68,9 +67,11 @@ EXIT_SINGULAR = 2
 EXIT_EMPTY = 3
 EXIT_USAGE = 4
 
-# Per-point commands do 2^n work or more.  At 16 sides `analyze` takes
-# 0.02-0.15 s and `betti --method wallcross` 0.5-0.7 s, at 17 sides 0.04-0.2 s
-# and 1.1-2.2 s (random to nearly equal lengths; 2-core x86, Python 3.11).
+# Per-point commands do 2^n work or more.  At 16 sides, as fresh processes,
+# `analyze` takes 0.19-0.43 s and `betti --method wallcross` 0.20-0.28 s; at
+# 17 sides the same library calls take 0.07-0.34 s and 0.08-0.10 s (random
+# to nearly equal lengths, the nearly equal ones slowest for `analyze`;
+# 2-core x86, Python 3.11).
 MAX_SIDES = 16
 
 # --decimal renders through 10^K; beyond this many digits that integer
@@ -703,7 +704,7 @@ def run(
     except (SingularLength, NonGenericSegment) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_SINGULAR
-    except (EmptyChamber, EmptyTarget) as exc:
+    except EmptyChamber as exc:
         print(f"error: {exc}", file=err)
         return EXIT_EMPTY
     except ValueError as exc:

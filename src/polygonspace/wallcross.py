@@ -5,14 +5,16 @@ replaces the sub-polygon-space M_{I_pᶜ} ≅ CP^{p−2} by M_{I_p} ≅ CP^{q−
 cohomology gains one generator in each even degree 2d with p−1 ≤ d ≤ q−2
 (and loses them in the mirrored range when p > q).  This module produces
 per-crossing reports with the distinguished classes of the newly born
-submanifold, computes Betti numbers by walking from an external chamber,
-and cross-validates that walk against the apolarity route.
+submanifold, computes Betti numbers from an external chamber as the sum of
+the deltas of the walls that separate it from r (the walls a generic
+straight segment between the two crosses, each once), and cross-validates
+that route against the apolarity route.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from polygonspace.apolar import (
@@ -27,26 +29,18 @@ from polygonspace.chambers import (
     ChamberSignature,
     IndexSet,
     LengthVector,
-    NonGenericSegment,
     Wall,
+    _members,
     external_representative,
-    nudge_within_chamber,
     representative,
-    segment_crossings,
     signature,
 )
 from polygonspace.ratpoly import monomial_exponents
 from polygonspace.volume import Convention, NotAdjacent, volume_polynomial
 
-_MAX_NUDGES = 200
-
 
 class BadPartition(ValueError):
     """p + q must equal n with both parts at least 1."""
-
-
-class EmptyTarget(ValueError):
-    """The target length vector has an empty polygon space."""
 
 
 def betti_delta(p: int, q: int, n: int) -> tuple[int, ...]:
@@ -154,49 +148,30 @@ def crossing_report(
     )
 
 
-def _generic_segment(
-    anchor: LengthVector, target: LengthVector, sig: ChamberSignature
-) -> list[tuple[Fraction, Wall]]:
-    """Crossings of anchor → target, nudging the target inside its chamber
-    sig until every crossing is single."""
-    last: NonGenericSegment | None = None
-    candidate = target
-    k = 1
-    while k <= _MAX_NUDGES:
-        try:
-            return segment_crossings(anchor, candidate)
-        except NonGenericSegment as exc:
-            last = exc
-        candidate = None
-        while candidate is None and k <= _MAX_NUDGES:
-            candidate = nudge_within_chamber(target, k, sig)
-            k += 1
-    raise last if last is not None else NonGenericSegment("no generic segment found")
-
-
 def betti_via_path(r: LengthVector, anchor_index: int | None = None) -> tuple[int, ...]:
     """Betti numbers of M(r) by wall-crossing from an external chamber.
 
     Starts at the all-ones vector of CP^{n−3} on an external anchor (largest
-    side just below half the perimeter by default), walks the straight
-    segment to r, and applies the Betti delta of every wall crossed.  This
-    route never touches the volume polynomial, so it can cross-validate the
-    apolarity computation.
+    side just below half the perimeter by default) and adds the Betti delta
+    of every wall that separates the anchor from r: one per set J long at
+    the anchor and short at r, with p = |J|.  This equals walking the
+    straight segment from the anchor to r, since ε_J is affine along it, so
+    a generic segment crosses exactly these walls, each once and long side
+    first, and a delta depends only on p.  This route never touches the
+    volume polynomial, so it can cross-validate the apolarity computation.
     """
     sig = signature(r)
     if sig.is_empty():
-        raise EmptyTarget(f"polygon space is empty for r = {r}")
+        raise EmptyChamber(f"polygon space is empty for r = {r}")
     n = r.n
     if anchor_index is None:
         largest = max(r.lengths)
         anchor_index = min(i for i, x in enumerate(r.lengths, start=1) if x == largest)
-    anchor = external_representative(n, anchor_index, perimeter=r.perimeter)
+    anchor = signature(external_representative(n, anchor_index))
     betti = [1] * (n - 2)
-    if signature(anchor) == sig:
-        return tuple(betti)
-    for _, wall in _generic_segment(anchor, r, sig):
-        delta = betti_delta(wall.p, wall.q, n)
-        betti = [b + d for b, d in zip(betti, delta)]
+    sizes = Counter(m.bit_count() for m in _members(sig.shorts & ~anchor.shorts))
+    for p, count in sizes.items():
+        betti = [b + count * d for b, d in zip(betti, betti_delta(p, n - p, n))]
     return tuple(betti)
 
 
@@ -236,11 +211,11 @@ def validate_chamber(
     """Pit the two Betti routes against each other and check every wall jump.
 
     The apolarity route (catalecticant ranks of the volume polynomial) and
-    the wall-crossing route (path from an external chamber) must agree; the
-    jump of the volume polynomial across each bounding wall must equal
-    (−1)^q/(n−3)!·ε_{I_p}^{n−3}, compared exponent by exponent on the integer
-    Hankel tables w = D·c·e! of the two chambers' expanded polynomials and of
-    the closed form.  Failures are recorded, not raised.
+    the wall-crossing route (walls between rep and an external chamber) must
+    agree; the jump of the volume polynomial across each bounding wall must
+    equal (−1)^q/(n−3)!·ε_{I_p}^{n−3}, compared exponent by exponent on the
+    integer Hankel tables w = D·c·e! of the two chambers' expanded
+    polynomials and of the closed form.  Failures are recorded, not raised.
     """
     if sig.is_empty():
         raise EmptyChamber(f"cannot validate the empty space: {sig}")

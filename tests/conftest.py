@@ -16,15 +16,19 @@ from polygonspace.chambers import (
     ChamberSignature,
     DegenerateWall,
     LengthVector,
+    NonGenericSegment,
     SingularLength,
     Wall,
     adjacent_representative,
     enumerate_chambers,
     external_representative,
+    nudge_within_chamber,
+    segment_crossings,
     signature,
 )
 from polygonspace.ratpoly import MultiPoly, matrix_rank, monomial_exponents
 from polygonspace.volume import Convention, volume_polynomial
+from polygonspace.wallcross import betti_delta
 
 # The two n = 5 reference chambers used throughout: an external one (complex
 # projective plane) and its neighbor across the wall of {1,3} (the one-point
@@ -101,6 +105,36 @@ def reference_walk(n: int) -> ChamberGraph:
         key=lambda e: (e[0], e[1], e[2].index_set.sort_key),
     )
     return ChamberGraph(n, nodes, tuple(edges))
+
+
+def walk_betti(r: LengthVector, anchor_index: int | None = None) -> tuple[int, ...]:
+    """Betti numbers of a nonempty M(r) by walking a straight segment.
+
+    Starts at (1, ..., 1) on ``external_representative`` (the largest side's
+    index, the first of ties, by default), lists the crossings of the segment
+    to r with ``segment_crossings`` and adds each wall's ``betti_delta`` in
+    turn.  When two walls are crossed at once, r is moved inside its chamber
+    by ``nudge_within_chamber`` with k = 1, 2, ... (up to 200) until the
+    segment is generic.  Oracle for wallcross.betti_via_path.
+    """
+    sig, n = signature(r), r.n
+    if anchor_index is None:
+        anchor_index = r.lengths.index(max(r.lengths)) + 1
+    anchor = external_representative(n, anchor_index, perimeter=r.perimeter)
+    target, k = r, 1
+    while True:
+        try:
+            crossings = segment_crossings(anchor, target)
+            break
+        except NonGenericSegment:
+            target = None
+            while target is None:
+                assert k <= 200, f"no generic segment to {r}"
+                target, k = nudge_within_chamber(r, k, sig), k + 1
+    betti = [1] * (n - 2)
+    for _, wall in crossings:
+        betti = [b + d for b, d in zip(betti, betti_delta(wall.p, wall.q, n))]
+    return tuple(betti)
 
 
 def random_positive(rng: random.Random) -> Fraction:

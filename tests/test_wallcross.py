@@ -15,10 +15,10 @@ from polygonspace import (
     ChamberSignature,
     Convention,
     EmptyChamber,
-    EmptyTarget,
     IndexSet,
     LengthVector,
     MultiPoly,
+    NonGenericSegment,
     NotAdjacent,
     adjacent_representative,
     betti_delta,
@@ -27,6 +27,7 @@ from polygonspace import (
     crossing_report,
     external_representative,
     nudge_within_chamber,
+    segment_crossings,
     signature,
     validate_chamber,
     wall_jump,
@@ -41,6 +42,7 @@ from conftest import (
     odd_perimeter_point,
     random_nonempty,
     short_masks,
+    walk_betti,
 )
 
 F = Fraction
@@ -222,7 +224,7 @@ def test_betti_via_path_representative_independence(graph4) -> None:
 
 
 def test_betti_via_path_rejects_empty_target() -> None:
-    with pytest.raises(EmptyTarget, match="polygon space is empty"):
+    with pytest.raises(EmptyChamber, match="polygon space is empty"):
         betti_via_path(LengthVector.parse("10,1,1,1"))
 
 
@@ -242,8 +244,9 @@ def test_betti_via_path_matches_hausmann_knutson_large_n() -> None:
             r = odd_perimeter_point(rng, n)
             shorts = short_masks(r)
         assert betti_via_path(r) == hausmann_knutson_betti(n, shorts)
-    # nearly equal sides tie many subset sums, which the nudges must break;
-    # integer sums, because the Fraction oracle takes seconds at n = 17
+    # nearly equal sides tie many subset sums, so the segment from the anchor
+    # meets several walls at one point; integer sums, because the Fraction
+    # oracle takes seconds at n = 17
     for lengths in ([*range(100, 115), 116], [*range(100, 116), 117]):
         n, total = len(lengths), sum(lengths)
         shorts = {
@@ -251,6 +254,28 @@ def test_betti_via_path_matches_hausmann_knutson_large_n() -> None:
             if 2 * sum(x for i, x in enumerate(lengths) if m >> i & 1) < total
         }
         assert betti_via_path(LengthVector.from_values(lengths)) == hausmann_knutson_betti(n, shorts)
+
+
+def test_betti_via_path_equals_segment_walk(graph4, graph5) -> None:
+    for graph in (graph4, graph5):
+        for node in graph.nodes:
+            if node.empty:
+                continue
+            r = node.representative
+            for j in (None, *range(1, graph.n + 1)):
+                assert betti_via_path(r, j) == walk_betti(r, j), (r, j)
+    rng = random.Random(613)
+    for n in range(6, 13):
+        for _ in range(2):
+            r = random_nonempty(rng, n)
+            assert betti_via_path(r) == walk_betti(r)
+            j = rng.randint(1, n)
+            assert betti_via_path(r, j) == walk_betti(r, j)
+    # its segment crosses two walls at once, so the walk has to nudge r
+    tied = LengthVector.from_values([*range(100, 115), 116])
+    with pytest.raises(NonGenericSegment):
+        segment_crossings(external_representative(16, 16, perimeter=tied.perimeter), tied)
+    assert betti_via_path(tied) == walk_betti(tied)
 
 
 # ----------------------------------------------------------------- validation
