@@ -236,6 +236,32 @@ def _selectors(n: int) -> tuple[int, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _pair_classes(n: int) -> tuple[tuple[int, int, int], ...]:
+    """(masks holding i not j, 2^j − 2^i, masks holding j not i), i < j."""
+    sel = _selectors(n)
+    return tuple(
+        (sel[i] & ~sel[j], (1 << j) - (1 << i), sel[j] & ~sel[i])
+        for i in range(n) for j in range(i + 1, n)
+    )
+
+
+def _complete(n: int, shorts: int) -> bool:
+    """The completeness test of enumerate_chambers."""
+    for i_not_j, shift, j_not_i in _pair_classes(n):
+        a, b = (shorts & i_not_j) << shift, shorts & j_not_i
+        if a & ~b and b & ~a:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _ranks(n: int) -> dict[int, int]:
+    """The position of each proper nonempty mask in IndexSet.sort_key order."""
+    order = sorted(range(1, (1 << n) - 1), key=lambda m: IndexSet(n, m).sort_key)
+    return dict(zip(order, range(len(order))))
+
+
 def _proper(n: int) -> int:
     """The bitset of the proper nonempty masks."""
     return (1 << ((1 << n) - 1)) - 2
@@ -463,7 +489,7 @@ def external_representative(n: int, j: int = 1, perimeter: Scalar = 1) -> Length
 
 
 def _max_margin_point(
-    sig: ChamberSignature, sums: Sequence[tuple[int, Fraction]], skip: Container[int] = ()
+    n: int, shorts: int, sums: Sequence[tuple[int, Fraction]], skip: Container[int] = ()
 ) -> tuple[Fraction, ...] | None:
     """The max-margin point of the chamber under equality constraints, or None.
 
@@ -476,12 +502,11 @@ def _max_margin_point(
     ε_J = ε_M − 2·Σ_{M∖J} x ≤ −λ − 2λ as x ≥ λ ≥ 0, so the other rows are
     implied (also under a skipped wall pair whose equalities put ε_{Iᶜ} = 0).
     """
-    n = sig.n
     full = (1 << n) - 1
-    maximal = _maximal(n, sig.shorts)
+    maximal = _maximal(n, shorts)
     ge_rows: list[tuple[list[int], int]] = []
     for mask in range(1, full, 2):  # one mask per pair, the member holding index 1
-        short = sig.shorts >> mask & 1
+        short = shorts >> mask & 1
         if mask in skip or not maximal >> (mask if short else full ^ mask) & 1:
             continue
         sign = -1 if short else 1
@@ -508,7 +533,7 @@ def representative(sig: ChamberSignature, perimeter: Scalar = 1) -> LengthVector
     P = Fraction(perimeter)
     if P <= 0:
         raise ValueError("perimeter must be positive")
-    values = _max_margin_point(sig, [((1 << sig.n) - 1, P)])
+    values = _max_margin_point(sig.n, sig.shorts, [((1 << sig.n) - 1, P)])
     if values is None:
         raise ValueError(f"signature {sig} is not realizable by any length vector")
     point = LengthVector.from_values(values)
@@ -517,16 +542,16 @@ def representative(sig: ChamberSignature, perimeter: Scalar = 1) -> LengthVector
     return point
 
 
-def _wall_point_ok(values: Sequence[int], sig: ChamberSignature, I: IndexSet) -> bool:
-    """Strictly positive, ε_I = 0, every other pair keeps its chamber sign
-    (`values`: the wall point times a positive number, as integers; a second
-    vanishing pair leaves both its members long, so the short bits differ)."""
+def _wall_point_ok(values: Sequence[int], shorts: int, mask: int) -> bool:
+    """Strictly positive, ε = 0 on the wall of `mask`, every other pair keeps
+    its sign in `shorts` (`values`: the wall point times a positive number,
+    as integers; a second vanishing pair leaves both its members long)."""
     if any(x <= 0 for x in values):
         return False
     sums = _subset_sums(values)
-    if 2 * sums[I.mask] != sums[-1]:
+    if 2 * sums[mask] != sums[-1]:
         return False
-    return _short_bits(sums) == sig.shorts & ~(1 << I.complement.mask)
+    return _short_bits(sums) == shorts & ~(1 << (len(sums) - 1 ^ mask))
 
 
 def adjacent_representative(
@@ -549,43 +574,45 @@ def adjacent_representative(
     if 2 * sums[I.mask] <= sums[-1]:
         raise NotAFacet(f"{I} is not long at r = {r}")
     sig = ChamberSignature(r.n, _short_bits(sums))  # sig.flip(I) checks Iᶜ is maximal short
-    point, point_den, after, after_den = _cross(sig, sig.flip(I), sums, den, I)
+    point, point_den, after, after_den = _cross(r.n, sig.shorts, sig.flip(I).shorts, sums, den, I.mask)
     wall_point = LengthVector(tuple(Fraction(x, point_den) for x in point))
     return wall_point, LengthVector(tuple(Fraction(x, after_den) for x in after))
 
 
-def _cross(sig: ChamberSignature, target: ChamberSignature, sums: list[int], den: int,
-           I: IndexSet) -> tuple[list[int], int, list[int], int]:
-    """adjacent_representative in integers, from the subset sums of den·r:
-    (wall point, its denominator, point beyond, its denominator)."""
-    total, inside = sums[-1], sums[I.mask]
-    p, q, e = I.p, I.q, 2 * inside - total
-    a = [(sums[1 << i], I.mask >> i & 1) for i in range(I.n)]
+def _cross(n: int, shorts: int, target: int, sums: list[int], den: int,
+           mask: int) -> tuple[list[int], int, list[int], int]:
+    """adjacent_representative in integers, from the bitsets and the subset sums
+    of den·r: (wall point, its denominator, point beyond, its denominator)."""
+    total, inside = sums[-1], sums[mask]
+    p, q, e = mask.bit_count(), n - mask.bit_count(), 2 * inside - total
+    a = [(sums[1 << i], mask >> i & 1) for i in range(n)]
     point, point_den = [2 * p * q * x - (q * e if m else -p * e) for x, m in a], 2 * p * q * den
-    if not _wall_point_ok(point, sig, I):
+    if not _wall_point_ok(point, shorts, mask):
         point = [x * total * (total - inside if m else inside) for x, m in a]
         point_den = 2 * inside * (total - inside) * den
-        if not _wall_point_ok(point, sig, I):
+        if not _wall_point_ok(point, shorts, mask):
             # the facet's max-margin point; a nonpositive margin means no facet
-            pair = (I.mask, I.complement.mask)
-            chosen = _max_margin_point(sig, [(m, Fraction(total, 2 * den)) for m in pair], skip=pair)
+            pair = (mask, (1 << n) - 1 ^ mask)
+            chosen = _max_margin_point(n, shorts, [(m, Fraction(total, 2 * den)) for m in pair], skip=pair)
             if chosen is not None:
                 point, point_den = _scaled(chosen)
-            if chosen is None or not _wall_point_ok(point, sig, I):
-                raise DegenerateWall(f"the wall of {I} does not carry a facet of {sig}")
+            if chosen is None or not _wall_point_ok(point, shorts, mask):
+                wall, sig = IndexSet(n, mask), ChamberSignature(n, shorts)
+                raise DegenerateWall(f"the wall of {wall} does not carry a facet of {sig}")
     # after = point/point_den + (P/4)/2^k·u over the denominator 4pq·2^k·point_den
     size = sum(point)
     step = [-q * size if m else p * size for _, m in a]
     base, after_den = [4 * p * q * x for x in point], 4 * p * q * point_den
     for _ in range(200):
         after = [x + s for x, s in zip(base, step)]
-        if all(x > 0 for x in after) and _short_bits(_subset_sums(after)) == target.shorts:
+        if all(x > 0 for x in after) and _short_bits(_subset_sums(after)) == target:
             # equal short bits classify every pair, so after is generic; lowest
             # terms keep the integers of a walk small
             *after, after_den = _primitive([*after, after_den])
             return point, point_den, after, after_den
         base, after_den = [2 * x for x in base], 2 * after_den
-    raise DegenerateWall(f"no generic point found just beyond the wall of {I} from {sig}")
+    wall, sig = IndexSet(n, mask), ChamberSignature(n, shorts)
+    raise DegenerateWall(f"no generic point found just beyond the wall of {wall} from {sig}")
 
 
 def segment_crossings(
@@ -684,7 +711,7 @@ class ChamberGraph:
     edges: tuple[tuple[int, int, Wall], ...]
 
 
-_N_LIMIT = 9  # the largest n enumerate_chambers accepts
+_N_LIMIT = 7  # the largest n enumerate_chambers accepts; n = 8 has ~3.3·10⁷ chambers
 
 
 def enumerate_chambers(n: int, max_nodes: int | None = None) -> ChamberGraph:
@@ -694,32 +721,42 @@ def enumerate_chambers(n: int, max_nodes: int | None = None) -> ChamberGraph:
     wall only to reach a new chamber: two held chambers differing in one pair
     {I, Iᶜ} are adjacent, as the segment between their generic points keeps
     every other ε strictly signed and so meets the wall of I alone, at a
-    facet point of both.  Node order and adjacency are deterministic.
+    facet point of both.  Walls are taken in canonical order, so node order,
+    representatives and adjacency are deterministic.  A target is crossed
+    into only if it is complete: for each i < j, trading i for j in the
+    short sets holding i but not j (a shift by 2ʲ − 2ⁱ) keeps them short, or
+    trading j for i does.  Skipping the rest is exact, as every chamber is
+    complete (for rᵢ ≥ rⱼ the first trade never raises a sum), so their
+    crossings would end in DegenerateWall; complete targets still may.
     """
     if not 3 <= n <= _N_LIMIT:
         raise ValueError(f"n = {n} outside the tractable range 3..{_N_LIMIT}")
     if max_nodes is not None and max_nodes < 1:
         raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
+    full, rank = (1 << n) - 1, _ranks(n)
     start = external_representative(n)
-    start_sig = signature(start)
-    reps: dict[ChamberSignature, tuple[list[int], int]] = {start_sig: _scaled(start.lengths)}
-    found: list[tuple[ChamberSignature, ChamberSignature, Wall]] = []
-    done: set[ChamberSignature] = set()
-    queue: deque[ChamberSignature] = deque([start_sig])
+    start_shorts = signature(start).shorts
+    reps: dict[int, tuple[list[int], int]] = {start_shorts: _scaled(start.lengths)}
+    found: list[tuple[int, int, int]] = []  # (source, target, long set at source)
+    done: set[int] = set()
+    queue: deque[int] = deque([start_shorts])
     while queue:
-        sig = queue.popleft()
-        done.add(sig)
-        scaled, den = reps[sig]
-        sums = _subset_sums(scaled)
-        for short in sig.maximal_shorts:
-            exit_set = short.complement
-            neighbor = sig.flip(exit_set)
+        shorts = queue.popleft()
+        done.add(shorts)
+        sums = None
+        for m in sorted(_members(_maximal(n, shorts)), key=rank.__getitem__):
+            neighbor = shorts & ~(1 << m) | 1 << (full ^ m)
             if neighbor in done:
-                # probed from there already, as I is a maximal short set there
+                # probed from there already, as m is a maximal short set there
                 continue
             if neighbor not in reps:
+                if not _complete(n, neighbor):
+                    continue
+                if sums is None:
+                    scaled, den = reps[shorts]
+                    sums = _subset_sums(scaled)
                 try:
-                    *_, after, after_den = _cross(sig, neighbor, sums, den, exit_set)
+                    *_, after, after_den = _cross(n, shorts, neighbor, sums, den, full ^ m)
                 except DegenerateWall:
                     # combinatorially adjacent pair whose common wall carries
                     # no facet; not an edge of the chamber graph
@@ -728,16 +765,16 @@ def enumerate_chambers(n: int, max_nodes: int | None = None) -> ChamberGraph:
                     raise BudgetExceeded(f"more than {max_nodes} chambers at n = {n}")
                 reps[neighbor] = (after, after_den)
                 queue.append(neighbor)
-            found.append((sig, neighbor, Wall(exit_set)))
-    ordered = sorted(reps.items(), key=lambda item: item[0].sort_key())
-    index_of = {sig: i for i, (sig, _) in enumerate(ordered)}
+            found.append((shorts, neighbor, full ^ m))
+    ordered = sorted(
+        ((ChamberSignature(n, s), rep) for s, rep in reps.items()), key=lambda item: item[0].sort_key()
+    )
+    index_of = {sig.shorts: i for i, (sig, _) in enumerate(ordered)}
     nodes = tuple(
         ChamberNode(sig, LengthVector(tuple(Fraction(x, den) for x in scaled)),
                     sig.is_empty(), sig.is_external())
         for sig, (scaled, den) in ordered
     )
-    edges = sorted(
-        ((index_of[a], index_of[b], wall) for a, b, wall in found),
-        key=lambda e: (e[0], e[1], e[2].index_set.sort_key),
-    )
-    return ChamberGraph(n, nodes, tuple(edges))
+    # one edge per chamber pair, so the wall never decides the order
+    edges = sorted((index_of[a], index_of[b], mask) for a, b, mask in found)
+    return ChamberGraph(n, nodes, tuple((a, b, Wall(IndexSet(n, mask))) for a, b, mask in edges))

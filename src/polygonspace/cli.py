@@ -649,7 +649,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--to", dest="r_to", required=True, help="end lengths")
 
     p = add("chambers", "Enumerate every chamber for n sides with facet adjacency.")
-    p.add_argument("--n", type=int, required=True, help="number of sides (3..6; 7..9 impractical)")
+    p.add_argument("--n", type=int, required=True, help="number of sides (3..7; n = 7 takes about 2 min)")
     p.add_argument(
         "--max-nodes",
         type=int,
@@ -666,7 +666,7 @@ def _build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--r", default=None, help="validate the chamber of r")
     group.add_argument(
-        "--n", type=int, default=None, help="validate every nonempty chamber for n (3..6; 7..9 impractical)"
+        "--n", type=int, default=None, help="validate every nonempty chamber for n (3..6; at 7 use --limit)"
     )
     p.add_argument(
         "--limit",

@@ -27,8 +27,8 @@ from polygonspace import (
     segment_crossings,
     signature,
 )
-from polygonspace import exactlp
-from polygonspace.chambers import _max_margin_point, _selectors
+from polygonspace import chambers, exactlp
+from polygonspace.chambers import _complete, _max_margin_point, _maximal, _members, _selectors
 
 from conftest import (
     BLOWUP_R,
@@ -413,7 +413,7 @@ def test_facet_row_lp_matches_full_lp(graph4, graph5) -> None:
                 pair = (short.complement.mask, short.mask)
                 sums = [(m, F(1, 2)) for m in pair]
                 canonical = tuple(m for m in pair if m & 1)
-                facet = _max_margin_point(sig, sums, skip=canonical)
+                facet = _max_margin_point(n, sig.shorts, sums, skip=canonical)
                 solved = _full_row_margin_lp(sig, sums, skip=canonical)
                 if solved is None or solved[0] <= 0:
                     assert facet is None
@@ -700,11 +700,68 @@ def test_graph_budget_and_range() -> None:
         enumerate_chambers(5, max_nodes=10)
     with pytest.raises(ValueError, match="outside the tractable range"):
         enumerate_chambers(2)
-    with pytest.raises(ValueError, match="outside the tractable range"):
-        enumerate_chambers(10)
+    for n in (8, 10):
+        with pytest.raises(ValueError, match=f"n = {n} outside the tractable range 3..7"):
+            enumerate_chambers(n)
     for budget in (0, -3):
         with pytest.raises(ValueError, match="max_nodes must be at least 1"):
             enumerate_chambers(4, max_nodes=budget)
+
+
+def _flip_targets(graph) -> list[int]:
+    """The family beyond each wall of each node, one per maximal short set."""
+    n, full = graph.n, (1 << graph.n) - 1
+    return [
+        node.signature.shorts & ~(1 << m) | 1 << (full ^ m)
+        for node in graph.nodes
+        for m in _members(_maximal(n, node.signature.shorts))
+    ]
+
+
+def test_every_chamber_passes_the_completeness_test(graph5, graph6) -> None:
+    for graph in (graph5, graph6):
+        assert all(_complete(graph.n, node.signature.shorts) for node in graph.nodes)
+    # the graphs are walked with the test, so also sign points it never saw
+    rng = random.Random(71)
+    for n in range(3, 10):
+        for _ in range(40):
+            assert _complete(n, signature(random_generic(rng, n)).shorts)
+
+
+def test_completeness_test_rejects_only_unrealizable_targets(graph3, graph4, graph5, graph6) -> None:
+    rejected = {}
+    for graph in (graph3, graph4, graph5, graph6):
+        n = graph.n
+        held = {node.signature.shorts for node in graph.nodes}
+        targets = [t for t in _flip_targets(graph) if not _complete(n, t)]
+        for target in set(targets):
+            assert target not in held
+            assert _max_margin_point(n, target, [((1 << n) - 1, F(1))]) is None
+        rejected[n] = len(targets)
+    # the walls enumerate_chambers skips with no LP
+    assert rejected == {3: 0, 4: 0, 5: 0, 6: 2180}
+
+
+def test_walk_crosses_only_into_new_complete_targets(monkeypatch) -> None:
+    calls = {"maximize": 0, "_cross": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(exactlp, "maximize")
+    counted(chambers, "_cross")
+    graph = enumerate_chambers(6)
+    assert len(graph.nodes) == 1684 and len(graph.edges) == 5646
+    # every crossing reaches a new chamber (no DegenerateWall is left at
+    # n = 6), and the LP runs only where both wall-point candidates fail
+    assert calls["_cross"] == len(graph.nodes) - 1
+    assert calls["maximize"] <= 320
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -221,6 +221,14 @@ def test_chambers_budget_exit() -> None:
     assert "more than 10 chambers at n = 5" in err
 
 
+@pytest.mark.parametrize("command", ["chambers", "validate"])
+def test_whole_graph_commands_refuse_n_beyond_seven(command: str) -> None:
+    # n = 8 has about 3.3e7 chambers: the walk would run out of memory
+    code, out, err = invoke([command, "--n", "8"])
+    assert code == 4 and out == ""
+    assert err == "error: n = 8 outside the tractable range 3..7\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -268,6 +276,12 @@ def test_validate_single_and_exhaustive() -> None:
          "0613f403904f827fda3c4e73a4016e480df672b2f428b326870698b442a80809"),
         (["validate", "--n", "5", "--full"],
          "87b8decbf5bf5f865ebba042756e043453e0f0660de3636d3ff1f17cac720bec"),
+        # n = 6 is the smallest n with walls that carry no facet (2180
+        # skipped by the walk's completeness test)
+        (["chambers", "--n", "6"],
+         "1cc0fb6159ed27fbc63b4c710fca59617a3e1849ebda3d16e95aff01856bc8c3"),
+        (["chambers", "--n", "6", "--counts-only"],
+         "463a436ebb42158f27900f7c82cf81d959a80329e6c93a7c56b2de297aa05104"),
     ],
 )
 def test_census_documents_are_byte_stable(argv: list[str], digest: str) -> None:
