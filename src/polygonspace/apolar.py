@@ -145,17 +145,6 @@ def betti_numbers(sig: ChamberSignature, conv: Convention) -> tuple[int, ...]:
     return tuple(_rank(pres, d) for d in range(sig.n - 2))
 
 
-def _rank_and_annihilator(pres: Presented, d: int) -> tuple[int, list[dict[Exponents, Fraction]]]:
-    """Catalecticant rank and the canonical basis of {Q of degree d : Q(∂)poly = 0}.
-
-    Each basis polynomial is a dict in ascending graded-lex order; its last
-    key is its free monomial, where its coefficient is 1.
-    """
-    domain, mat = _apolarity_matrix(pres, d)
-    rank, kernel = sparse_kernel(mat, ncols=len(domain))
-    return rank, [{domain[col]: c for col, c in vec.items()} for vec in kernel]
-
-
 def _reduce_modulo(
     kernel: list[dict[Exponents, Fraction]],
     prev_kernel: list[dict[Exponents, Fraction]],
@@ -210,30 +199,6 @@ def _reduce_modulo(
     return [k for k in range(len(kernel)) if k not in echelon]
 
 
-def _ranks_and_generators(
-    sig: ChamberSignature, conv: Convention
-) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[MultiPoly, ...]], ...]]:
-    """Betti numbers and minimal annihilator generators, one catalecticant per degree.
-
-    The ranks of degrees 0..n−3 are the Betti numbers.  In each degree
-    d = 1..n−2 the kernel K_d is reduced modulo the span of xᵢ·K_{d−1}
-    (K_0 is empty for a nonempty chamber).
-    """
-    if sig.is_empty():
-        raise EmptyChamber(f"no cohomology: {sig} has a long singleton")
-    pres = volume_polynomial(sig).presented(conv)
-    nvars = pres.poly.nvars
-    ranks, kernels = zip(*(_rank_and_annihilator(pres, d) for d in range(sig.n - 1)))
-    generators = tuple(
-        (d, tuple(
-            MultiPoly._from_terms(nvars, kernels[d][k])
-            for k in _reduce_modulo(kernels[d], kernels[d - 1], nvars)
-        ))
-        for d in range(1, sig.n - 1)
-    )
-    return ranks[:-1], generators
-
-
 def annihilator_generators(
     sig: ChamberSignature, conv: Convention
 ) -> tuple[tuple[int, tuple[MultiPoly, ...]], ...]:
@@ -247,7 +212,7 @@ def annihilator_generators(
     vector is kept when it extends the span of those products and of the
     kernel vectors before it.
     """
-    return _ranks_and_generators(sig, conv)[1]
+    return presentation(sig, conv).ann_generators
 
 
 def is_zero_class(
@@ -361,9 +326,30 @@ def pd_bases_agree(
 def presentation(sig: ChamberSignature, conv: Convention) -> ApolarPresentation:
     """Betti numbers together with minimal annihilator generators.
 
-    Each degree's catalecticant is built once and gives both.
+    Each degree's catalecticant is built once and gives both: its rank is
+    the Betti number, and its kernel K_d the degree-d annihilator, in a
+    canonical basis whose vectors each end at their free monomial with
+    coefficient 1.  The ranks of degrees 0..n−3 are the Betti numbers.  In
+    each degree d = 1..n−2 the kernel K_d is reduced modulo the span of
+    xᵢ·K_{d−1} (K_0 is empty for a nonempty chamber).
     """
-    betti, generators = _ranks_and_generators(sig, conv)
+    if sig.is_empty():
+        raise EmptyChamber(f"no cohomology: {sig} has a long singleton")
+    pres = volume_polynomial(sig).presented(conv)
+    nvars = pres.poly.nvars
+    ranks, kernels = [], []
+    for d in range(sig.n - 1):
+        domain, mat = _apolarity_matrix(pres, d)
+        rank, kernel = sparse_kernel(mat, ncols=len(domain))
+        ranks.append(rank)
+        kernels.append([{domain[col]: c for col, c in vec.items()} for vec in kernel])
+    generators = tuple(
+        (d, tuple(
+            MultiPoly._from_terms(nvars, kernels[d][k])
+            for k in _reduce_modulo(kernels[d], kernels[d - 1], nvars)
+        ))
+        for d in range(1, sig.n - 1)
+    )
     return ApolarPresentation(
-        chamber=sig, convention=conv, betti=betti, ann_generators=generators
+        chamber=sig, convention=conv, betti=tuple(ranks[:-1]), ann_generators=generators
     )

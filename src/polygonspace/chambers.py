@@ -30,30 +30,6 @@ from typing import Container, Iterable, Iterator, Sequence
 from polygonspace import exactlp
 from polygonspace.ratpoly import Scalar, _primitive, _scaled, format_rational, parse_rational
 
-__all__ = [
-    "BudgetExceeded",
-    "ChamberGraph",
-    "ChamberNode",
-    "ChamberSignature",
-    "DegenerateWall",
-    "IndexSet",
-    "LengthVector",
-    "NonGenericSegment",
-    "NotAFacet",
-    "SingularLength",
-    "Wall",
-    "adjacent_representative",
-    "canonical_form",
-    "enumerate_chambers",
-    "epsilon",
-    "external_representative",
-    "is_generic",
-    "nudge_within_chamber",
-    "segment_crossings",
-    "signature",
-]
-
-
 class SingularLength(ValueError):
     """Some ε_I(r) = 0: r lies on a wall and has no chamber."""
 
@@ -95,7 +71,7 @@ class LengthVector:
         if len(self.lengths) < 3:
             raise ValueError(f"need at least 3 side lengths, got {len(self.lengths)}")
         if any(x <= 0 for x in self.lengths):
-            raise ValueError(f"side lengths must be strictly positive: {self.lengths}")
+            raise ValueError(f"side lengths must be strictly positive: {self}")
 
     @classmethod
     def from_values(cls, values: Sequence[Scalar]) -> LengthVector:
@@ -247,7 +223,7 @@ def _pair_classes(n: int) -> tuple[tuple[int, int, int], ...]:
 
 
 def _complete(n: int, shorts: int) -> bool:
-    """The completeness test of enumerate_chambers."""
+    """The completeness test of enumerate_chambers and canonical_form."""
     for i_not_j, shift, j_not_i in _pair_classes(n):
         a, b = (shorts & i_not_j) << shift, shorts & j_not_i
         if a & ~b and b & ~a:
@@ -457,19 +433,23 @@ def signature(r: LengthVector) -> ChamberSignature:
 
 
 def canonical_form(sig: ChamberSignature) -> ChamberSignature:
-    """Smallest relabeling of the signature under the symmetric group.
+    """One relabeling shared by all chambers that agree up to permuting the sides.
 
-    Post-processing utility only (cost grows as n!); lets callers identify
-    chambers that agree up to permuting the sides.
+    The sides are relabeled by decreasing cᵢ, the number of short sets that
+    contain side i.  A chamber is a weighted majority game and so complete
+    (Taylor–Zwicker, *Simple Games*): cᵢ orders the sides by desirability,
+    and sides with equal cᵢ are interchangeable, so the order among them
+    does not change the result.  This is one sort, not a search over the n!
+    relabelings, and the result need not be the smallest relabeling under
+    `sort_key`.  A family that fails the completeness test is no chamber
+    and raises ValueError.
     """
-    from itertools import permutations
-
-    best = None
-    for perm in permutations(range(sig.n)):
-        cand = sig.permute(perm)
-        if best is None or cand.sort_key() < best.sort_key():
-            best = cand
-    return best
+    n = sig.n
+    if not _complete(n, sig.shorts):
+        raise ValueError(f"{sig} is not a complete family, so it is no chamber")
+    counts = [(sig.shorts & sel).bit_count() for sel in _selectors(n)]
+    order = sorted(range(n), key=lambda i: -counts[i])
+    return sig.permute([order.index(i) for i in range(n)])
 
 
 def external_representative(n: int, j: int = 1, perimeter: Scalar = 1) -> LengthVector:

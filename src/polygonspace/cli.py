@@ -32,7 +32,6 @@ from polygonspace.apolar import (
     presentation,
 )
 from polygonspace.chambers import (
-    BudgetExceeded,
     ChamberSignature,
     IndexSet,
     LengthVector,
@@ -256,8 +255,6 @@ def _parse_poly(text: str, names: Sequence[str]) -> MultiPoly:
 
 # -- subcommand handlers -----------------------------------------------------
 
-Handler = Callable[[argparse.Namespace], "tuple[dict[str, object], int]"]
-
 
 def _check_sides(n: int) -> None:
     if n > MAX_SIDES:
@@ -271,9 +268,22 @@ def _lengths(text: str) -> LengthVector:
     return r
 
 
-def _cmd_analyze(args: argparse.Namespace) -> tuple[dict[str, object], int]:
+def _point(args: argparse.Namespace) -> tuple[LengthVector, Convention, ChamberSignature]:
+    """--r, --convention (if the command has it) and the chamber of r, checked in that order."""
     r = _lengths(args.r)
-    sig = signature(r)
+    conv = Convention.parse(getattr(args, "convention", "homogeneous"))
+    return r, conv, signature(r)
+
+
+def _ints(text: str, flag: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated integers, got {text!r}") from None
+
+
+def _cmd_analyze(args: argparse.Namespace) -> tuple[dict[str, object], int]:
+    r, _, sig = _point(args)
     doc: dict[str, object] = {
         "n": r.n,
         "r": r.to_strings(),
@@ -286,48 +296,36 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict[str, object], int]:
 
 
 def _cmd_volume(args: argparse.Namespace) -> tuple[dict[str, object], int]:
-    r = _lengths(args.r)
-    conv = Convention.parse(args.convention)
-    sig = signature(r)
+    r, conv, sig = _point(args)
     vp = volume_polynomial(sig)
     names = _variable_names(r.n, conv, "r")
-    value = vp.v.evaluate(tuple(r))
     doc: dict[str, object] = {
         "n": r.n,
         "r": r.to_strings(),
         "convention": str(conv),
         "variables": names,
         "poly": _poly_doc(vp.presented(conv).poly, names),
-        "value_at_r": format_rational(value),
+        "value_at_r": format_rational(vp.v.evaluate(tuple(r))),
         "scale": vp.scale_note,
     }
-    if args.decimal is not None:
-        doc["value_at_r_approx"] = _decimal_text(value, args.decimal)
     return doc, EXIT_OK
 
 
 def _cmd_intersect(args: argparse.Namespace) -> tuple[dict[str, object], int]:
-    r = _lengths(args.r)
-    conv = Convention.parse(args.convention)
-    sig = signature(r)
-    alpha = MultiIndex(tuple(int(a) for a in args.alpha.split(",")))
-    value = intersection_number(sig, alpha, conv)
+    r, conv, sig = _point(args)
+    alpha = MultiIndex(tuple(_ints(args.alpha, "--alpha")))
     doc: dict[str, object] = {
         "n": r.n,
         "r": r.to_strings(),
         "convention": str(conv),
         "alpha": list(alpha.exponents),
-        "intersection_number": format_rational(value),
+        "intersection_number": format_rational(intersection_number(sig, alpha, conv)),
     }
-    if args.decimal is not None:
-        doc["intersection_number_approx"] = _decimal_text(value, args.decimal)
     return doc, EXIT_OK
 
 
 def _cmd_betti(args: argparse.Namespace) -> tuple[dict[str, object], int]:
-    r = _lengths(args.r)
-    conv = Convention.parse(args.convention)
-    sig = signature(r)
+    r, conv, sig = _point(args)
     doc: dict[str, object] = {}
     if args.method in ("apolar", "both"):
         doc["apolar"] = list(betti_numbers(sig, conv))
@@ -339,9 +337,7 @@ def _cmd_betti(args: argparse.Namespace) -> tuple[dict[str, object], int]:
 
 
 def _cmd_ring(args: argparse.Namespace) -> tuple[dict[str, object], int]:
-    r = _lengths(args.r)
-    conv = Convention.parse(args.convention)
-    sig = signature(r)
+    r, conv, sig = _point(args)
     pres = presentation(sig, conv)
     names = _variable_names(r.n, conv, "x")
     doc: dict[str, object] = {
@@ -359,22 +355,17 @@ def _cmd_ring(args: argparse.Namespace) -> tuple[dict[str, object], int]:
 
 
 def _cmd_pairing(args: argparse.Namespace) -> tuple[dict[str, object], int]:
-    r = _lengths(args.r)
-    conv = Convention.parse(args.convention)
-    sig = signature(r)
+    r, conv, sig = _point(args)
     names = _variable_names(r.n, conv, "x")
     a = CohomologyClass(_parse_poly(args.a, names))
     b = CohomologyClass(_parse_poly(args.b, names))
-    value = poincare_pairing(a, b, sig, conv)
     doc: dict[str, object] = {
         "n": r.n,
         "convention": str(conv),
         "a": _poly_doc(a.poly, names),
         "b": _poly_doc(b.poly, names),
-        "pairing": format_rational(value),
+        "pairing": format_rational(poincare_pairing(a, b, sig, conv)),
     }
-    if args.decimal is not None:
-        doc["pairing_approx"] = _decimal_text(value, args.decimal)
     return doc, EXIT_OK
 
 
@@ -389,7 +380,7 @@ def _cmd_pd_class(args: argparse.Namespace) -> tuple[dict[str, object], int]:
         _check_sides(n)
     else:
         raise ValueError("pd-class needs --n or --r")
-    I = IndexSet.from_indices(n, [int(s) for s in args.set.split(",")])
+    I = IndexSet.from_indices(n, _ints(args.set, "--set"))
     base = args.base if args.base is not None else I.indices[0]
     pd = pd_class(I, base)
     chern = normal_bundle_chern(I, base)
@@ -415,8 +406,7 @@ def _cmd_wallcross(args: argparse.Namespace) -> tuple[dict[str, object], int]:
     r0 = _lengths(args.r_from)
     r1 = _lengths(args.r_to)
     crossings = segment_crossings(r0, r1)
-    sig = signature(r0)
-    sig0 = sig
+    sig0 = sig = signature(r0)
     names = [f"x{i}" for i in range(1, r0.n + 1)]
     items: list[dict[str, object]] = []
     for t, wall in crossings:
@@ -532,18 +522,13 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[dict[str, object], int]:
     return doc, EXIT_OK if not failures else EXIT_INTERNAL
 
 
-_HANDLERS: dict[str, Handler] = {
-    "analyze": _cmd_analyze,
-    "volume": _cmd_volume,
-    "intersect": _cmd_intersect,
-    "betti": _cmd_betti,
-    "ring": _cmd_ring,
-    "pairing": _cmd_pairing,
-    "pd-class": _cmd_pd_class,
-    "wallcross": _cmd_wallcross,
-    "chambers": _cmd_chambers,
-    "validate": _cmd_validate,
-}
+# The first row whose kinds the error is an instance of gives the exit code.
+_EXIT_CODES: tuple[tuple[type[Exception] | tuple[type[Exception], ...], int], ...] = (
+    ((SingularLength, NonGenericSegment), EXIT_SINGULAR),
+    (EmptyChamber, EXIT_EMPTY),
+    (ValueError, EXIT_USAGE),
+    (RuntimeError, EXIT_INTERNAL),  # BudgetExceeded and RecursionError among them
+)
 
 
 # -- argument parsing --------------------------------------------------------
@@ -561,14 +546,18 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, handler: Callable, help_text: str, point: bool = False) -> argparse.ArgumentParser:
+        """A subcommand; a per-point one also takes the side lengths --r."""
         p = sub.add_parser(name, help=help_text, description=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument(
             "--format",
             choices=("json", "text"),
             default="json",
             help="output format (default: json)",
         )
+        if point:
+            p.add_argument("--r", required=True, help="comma-separated side lengths")
         return p
 
     def add_convention(p: argparse.ArgumentParser) -> None:
@@ -580,7 +569,9 @@ def _build_parser() -> _Parser:
             "perimeter relation and drop variable J)",
         )
 
-    def add_decimal(p: argparse.ArgumentParser) -> None:
+    def add_decimal(p: argparse.ArgumentParser, headline: str) -> None:
+        """--decimal: run() renders the field `headline` as `<headline>_approx`."""
+        p.set_defaults(headline=headline)
         p.add_argument(
             "--decimal",
             type=int,
@@ -590,26 +581,22 @@ def _build_parser() -> _Parser:
             "marked approximate",
         )
 
-    p = add("analyze", "Chamber signature, external and empty flags for r.")
-    p.add_argument("--r", required=True, help="comma-separated side lengths")
+    add("analyze", _cmd_analyze, "Chamber signature, external and empty flags for r.", point=True)
 
-    p = add("volume", "Volume polynomial of the chamber of r and its value.")
-    p.add_argument("--r", required=True, help="comma-separated side lengths")
+    p = add("volume", _cmd_volume, "Volume polynomial of the chamber of r and its value.", point=True)
     add_convention(p)
-    add_decimal(p)
+    add_decimal(p, "value_at_r")
 
-    p = add("intersect", "Intersection number: signed mixed derivative of the volume.")
-    p.add_argument("--r", required=True, help="comma-separated side lengths")
+    p = add("intersect", _cmd_intersect, "Intersection number: signed mixed derivative of the volume.", point=True)
     p.add_argument(
         "--alpha",
         required=True,
         help="comma-separated multi-index of length n, total n-3",
     )
     add_convention(p)
-    add_decimal(p)
+    add_decimal(p, "intersection_number")
 
-    p = add("betti", "Betti numbers by apolarity, wall-crossing, or both.")
-    p.add_argument("--r", required=True, help="comma-separated side lengths")
+    p = add("betti", _cmd_betti, "Betti numbers by apolarity, wall-crossing, or both.", point=True)
     p.add_argument(
         "--method",
         choices=("apolar", "wallcross", "both"),
@@ -618,18 +605,16 @@ def _build_parser() -> _Parser:
     )
     add_convention(p)
 
-    p = add("ring", "Cohomology ring presentation: Betti numbers and annihilator generators.")
-    p.add_argument("--r", required=True, help="comma-separated side lengths")
+    p = add("ring", _cmd_ring, "Cohomology ring presentation: Betti numbers and annihilator generators.", point=True)
     add_convention(p)
 
-    p = add("pairing", "Poincare pairing of two classes of complementary degree.")
-    p.add_argument("--r", required=True, help="comma-separated side lengths")
+    p = add("pairing", _cmd_pairing, "Poincare pairing of two classes of complementary degree.", point=True)
     p.add_argument("--a", required=True, help='first class, e.g. "x1+x3"')
     p.add_argument("--b", required=True, help='second class, e.g. "2*x3^2"')
     add_convention(p)
-    add_decimal(p)
+    add_decimal(p, "pairing")
 
-    p = add("pd-class", "Poincare dual of a parallel-sides submanifold and its normal Chern class.")
+    p = add("pd-class", _cmd_pd_class, "Poincare dual of a parallel-sides submanifold and its normal Chern class.")
     p.add_argument("--set", required=True, help="comma-separated 1-based indices of I")
     p.add_argument("--n", type=int, default=None, help="number of sides")
     p.add_argument(
@@ -644,11 +629,11 @@ def _build_parser() -> _Parser:
         help="base index in I (default: smallest element)",
     )
 
-    p = add("wallcross", "Ordered wall crossings along a straight segment, with crossing reports.")
+    p = add("wallcross", _cmd_wallcross, "Ordered wall crossings along a straight segment, with crossing reports.")
     p.add_argument("--from", dest="r_from", required=True, help="start lengths")
     p.add_argument("--to", dest="r_to", required=True, help="end lengths")
 
-    p = add("chambers", "Enumerate every chamber for n sides with facet adjacency.")
+    p = add("chambers", _cmd_chambers, "Enumerate every chamber for n sides with facet adjacency.")
     p.add_argument("--n", type=int, required=True, help="number of sides (3..7; n = 7 takes about 2 min)")
     p.add_argument(
         "--max-nodes",
@@ -662,7 +647,7 @@ def _build_parser() -> _Parser:
         help="emit only the census, not the node and edge lists",
     )
 
-    p = add("validate", "Cross-validate Betti routes and wall jumps; exit 1 on any failure.")
+    p = add("validate", _cmd_validate, "Cross-validate Betti routes and wall jumps; exit 1 on any failure.")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--r", default=None, help="validate the chamber of r")
     group.add_argument(
@@ -700,19 +685,12 @@ def run(
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
     try:
-        doc, code = _HANDLERS[args.command](args)
-    except (SingularLength, NonGenericSegment) as exc:
+        doc, code = args.handler(args)
+        if getattr(args, "decimal", None) is not None:
+            doc[f"{args.headline}_approx"] = _decimal_text(Fraction(doc[args.headline]), args.decimal)
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=err)
-        return EXIT_SINGULAR
-    except EmptyChamber as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_EMPTY
-    except ValueError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_USAGE
-    except (BudgetExceeded, RuntimeError) as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_INTERNAL
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
     _emit(doc, args.format, out)
     return code
 

@@ -27,20 +27,6 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 Scalar = Union[int, Fraction]
 Exponents = tuple[int, ...]
 
-__all__ = [
-    "Exponents",
-    "MultiIndex",
-    "MultiPoly",
-    "Scalar",
-    "format_rational",
-    "matrix_rank",
-    "monomial_exponents",
-    "parse_rational",
-    "rank_and_kernel",
-    "sparse_kernel",
-]
-
-
 # Signed integer, p/q or exact decimal.  Fraction alone also takes exponent
 # notation, and "1e999999999999" would build that power of ten in full.
 _RATIONAL = re.compile(r"[+-]?(?:\d+(?:/\d+)?|\d*\.\d+|\d+\.)")

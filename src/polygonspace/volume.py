@@ -69,7 +69,11 @@ class Convention:
         if text == "homogeneous":
             return cls(None)
         if text.startswith("affine:"):
-            return cls(int(text.split(":", 1)[1]))
+            try:
+                j = int(text.split(":", 1)[1])
+            except ValueError:
+                raise ValueError(f"convention {text!r}: expected affine:J with J an integer") from None
+            return cls(j)
         raise ValueError(f"unknown convention {text!r}")
 
     @property

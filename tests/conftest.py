@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import permutations
 from fractions import Fraction
 from math import factorial, prod
 from typing import Sequence
@@ -105,6 +106,15 @@ def reference_walk(n: int) -> ChamberGraph:
         key=lambda e: (e[0], e[1], e[2].index_set.sort_key),
     )
     return ChamberGraph(n, nodes, tuple(edges))
+
+
+def reference_canonical_form(sig: ChamberSignature) -> ChamberSignature:
+    """The smallest relabeling under ``sort_key``, by trying all n! of them.
+
+    Oracle for ``canonical_form``: the two pick different members of an
+    orbit, but must split chambers into the same classes.
+    """
+    return min((sig.permute(perm) for perm in permutations(range(sig.n))), key=lambda s: s.sort_key())
 
 
 def walk_betti(r: LengthVector, anchor_index: int | None = None) -> tuple[int, ...]:

@@ -35,6 +35,7 @@ from conftest import (
     CP2_R,
     maximal_masks,
     odd_perimeter_point,
+    reference_canonical_form,
     random_empty,
     random_generic,
     random_nonempty,
@@ -276,6 +277,45 @@ def test_canonical_form_identifies_relabelings() -> None:
     a = signature(LengthVector.parse("10,1,1,1,1,10,10"))
     perm = (2, 0, 4, 6, 1, 3, 5)
     assert canonical_form(a.permute(perm)) == canonical_form(a)
+
+
+def _classes(graph, form) -> set[frozenset[int]]:
+    by_form: dict[ChamberSignature, set[int]] = {}
+    for i, node in enumerate(graph.nodes):
+        by_form.setdefault(form(node.signature), set()).add(i)
+    return {frozenset(members) for members in by_form.values()}
+
+
+@pytest.mark.parametrize("fixture", ["graph4", "graph5"])
+def test_canonical_form_splits_like_the_relabeling_search(fixture: str, request) -> None:
+    graph = request.getfixturevalue(fixture)
+    assert _classes(graph, canonical_form) == _classes(graph, reference_canonical_form)
+
+
+@pytest.mark.parametrize("fixture, classes", [("graph3", 2), ("graph4", 3), ("graph5", 7), ("graph6", 21)])
+def test_canonical_form_class_counts(fixture: str, classes: int, request) -> None:
+    graph = request.getfixturevalue(fixture)
+    assert len(_classes(graph, canonical_form)) == classes
+    rng = random.Random(graph.n)
+    for node in graph.nodes:
+        perm = list(range(graph.n))
+        rng.shuffle(perm)
+        form = canonical_form(node.signature)
+        assert canonical_form(node.signature.permute(perm)) == form
+        # sides sorted by how many short sets hold them, most first
+        counts = [(form.shorts & sel).bit_count() for sel in _selectors(graph.n)]
+        assert counts == sorted(counts, reverse=True)
+        assert form.shorts.bit_count() == node.signature.shorts.bit_count()
+
+
+def test_canonical_form_rejects_an_incomplete_family() -> None:
+    # short {1,2,3} but long {2,3,6}, short {2,5,6} but long {1,2,5}: sides 1
+    # and 6 are not comparable, so no length vector has this family
+    family = ChamberSignature.from_lists(
+        6, [[1, 2, 3], [1, 4, 5], [2, 4, 6], [2, 5, 6], [3, 4, 6], [3, 5, 6], [2, 3, 4, 5]]
+    )
+    with pytest.raises(ValueError, match="not a complete family"):
+        canonical_form(family)
 
 
 # ------------------------------------------------------------ representatives

@@ -352,24 +352,84 @@ def test_exit_empty_space() -> None:
 
 
 def test_exit_usage_errors() -> None:
-    assert invoke([])[0] == 4
-    assert invoke(["frobnicate"])[0] == 4
-    assert invoke(["volume"])[0] == 4  # missing --r
-    code, _, err = invoke(["volume", "--r", "1,2"])
-    assert code == 4 and "at least 3" in err
-    code, _, err = invoke(["volume", "--r", CP2, "--convention", "fancy"])
-    assert code == 4 and "unknown convention" in err
-    code, _, err = invoke(["intersect", "--r", CP2, "--alpha", "0,0,1,0,0"])
-    assert code == 4 and "expected n-3" in err
-    code, _, err = invoke(
-        ["intersect", "--r", CP2, "--alpha", "0,0,0,0,2", "--convention", "affine:5"]
-    )
-    assert code == 4 and "not available under affine:5" in err
-    code, _, err = invoke(["volume", "--r", CP2, "--decimal", "0"])
-    assert code == 4 and "at least 1 digit" in err
-    assert invoke(["validate", "--r", CP2, "--n", "4"])[0] == 4
-    assert invoke(["validate"])[0] == 4
-    assert invoke(["chambers", "--n", "77"])[0] == 4
+    # the whole stderr line of each, not a fragment
+    usage = [
+        ([], "the following arguments are required: command"),
+        (["frobnicate"], (
+            "argument command: invalid choice: 'frobnicate' (choose from 'analyze', 'volume', "
+            "'intersect', 'betti', 'ring', 'pairing', 'pd-class', 'wallcross', 'chambers', 'validate')"
+        )),
+        (["volume"], "the following arguments are required: --r"),
+        (["volume", "--r", "1,2"], "need at least 3 side lengths, got 2"),
+        (["volume", "--r", CP2, "--convention", "fancy"], "unknown convention 'fancy'"),
+        (["intersect", "--r", CP2, "--alpha", "0,0,1,0,0"], "|alpha| = 1, expected n-3 = 2"),
+        (["intersect", "--r", CP2, "--alpha", "0,0,0,0,2", "--convention", "affine:5"],
+         "derivative in r_5 is not available under affine:5"),
+        (["volume", "--r", CP2, "--decimal", "0"], "--decimal needs at least 1 digit"),
+        (["validate", "--r", CP2, "--n", "4"], "argument --n: not allowed with argument --r"),
+        (["validate"], "one of the arguments --r --n is required"),
+        (["chambers", "--n", "77"], "n = 77 outside the tractable range 3..7"),
+    ]
+    for argv, message in usage:
+        assert invoke(argv) == (4, "", f"error: {message}\n"), argv
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["analyze", "--r", "0,1,1"], "side lengths must be strictly positive: (0/1, 1/1, 1/1)"),
+        (["analyze", "--r=-1/2,2,2"], "side lengths must be strictly positive: (-1/2, 2/1, 2/1)"),
+        (["intersect", "--r", CP2, "--alpha", ""], "--alpha takes comma-separated integers, got ''"),
+        (["intersect", "--r", CP2, "--alpha", "1,,1"], "--alpha takes comma-separated integers, got '1,,1'"),
+        (["intersect", "--r", CP2, "--alpha", "0,0,2,0,0", "--convention", "affine:x"],
+         "convention 'affine:x': expected affine:J with J an integer"),
+        (["pd-class", "--set", "1,,2", "--n", "5"], "--set takes comma-separated integers, got '1,,2'"),
+    ],
+)
+def test_malformed_arguments_are_named_not_dumped(argv: list[str], named: str) -> None:
+    # one line naming the argument and the expected form, with no Python
+    # internals: no Fraction reprs, no int() literal message
+    assert invoke(argv) == (4, "", f"error: {named}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, headline",
+    [
+        (["volume", "--r", BLOWUP], "value_at_r"),
+        (["intersect", "--r", BLOWUP, "--alpha", "2,0,0,0,0"], "intersection_number"),
+        (["pairing", "--r", BLOWUP, "--a", "x1 + x3", "--b", "x3"], "pairing"),
+    ],
+)
+def test_decimal_renders_the_headline_last(argv: list[str], headline: str) -> None:
+    plain = invoke_json(argv)
+    doc = invoke_json(argv + ["--decimal", "4"])
+    assert list(doc) == list(plain) + [f"{headline}_approx"]
+    assert doc[f"{headline}_approx"] == cli._decimal_text(Fraction(plain[headline]), 4)
+
+
+# SHA-256 of each -h page at 80 columns, as the parser with a separate
+# handler table printed it: declaring each command once changes no page
+HELP_DIGESTS = {
+    None: "41c52c7ede793596d3cfeb332cfab6d07e527006512c4aac5d888314c6844f68",
+    "analyze": "9e7f14b53dbf793be46cd73e770c4af4a0057351cf21946585cad58604f41e50",
+    "volume": "1f23eeafc75f5d97b75e993e4c4792d9903683011d0e486c129bd49c3e5176a2",
+    "intersect": "6f42a6a57c205e48d7a1992c7e900ecdf93eccce3c8764b606e5d2589aa037b3",
+    "betti": "db9fe5af4ddf06f5a919fc3ec7a16b86a1849a26a54ed6dc3392a64eebb6c885",
+    "ring": "a5035d48adf76989b162cc2f4c4adf3081f039b64ab7fcfc7fe89d29946a18df",
+    "pairing": "7d5535509007f1eb19f1359c7ac58212d4b52fc642763029c6c5d43f34805899",
+    "pd-class": "189b8ecc3f817f54a50fe85158f6c1a1d6aa1467cbdb7dd240effca2f2724bb1",
+    "wallcross": "6ecfe678cd5be5f02d57a22db67bb9de82f3d06b499c0b432a610e13739fc8a7",
+    "chambers": "f4b0ee3b8f36d128168e66d067fb0912299821e472086e07f16b0c63baaf7646",
+    "validate": "0239644210075c4996aa49ac555e1c1941a2dc5a331da3a8c92dccf576279b57",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_DIGESTS))
+def test_help_pages_are_byte_stable(command: str | None, monkeypatch) -> None:
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = invoke(["-h"] if command is None else [command, "-h"])
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command]
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["ring", "-h"], ["ring", "--r", CP2, "--help"]])
