@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 from operator import add
+from typing import Sequence
 
 from polygonspace.chambers import ChamberSignature, IndexSet
 from polygonspace.ratpoly import (
@@ -32,6 +34,8 @@ from polygonspace.volume import (
     Presented,
     VolumePolynomial,
     WrongTotalDegree,
+    _monomials,
+    _walsh,
     volume_polynomial,
 )
 
@@ -112,14 +116,35 @@ def _apolarity_matrix(pres: Presented, d: int) -> tuple[list[Exponents], list[li
     return domain, mat
 
 
+@lru_cache(maxsize=None)
+def _odd_sets(n: int, j: int) -> tuple[int, ...]:
+    """P(n, j), the odd-exponent sets of the degree-j monomials: |S| ≤ j, |S| ≡ j (mod 2)."""
+    return tuple(m for m in range(1 << n) if m.bit_count() <= j and (j - m.bit_count()) % 2 == 0)
+
+
+def _walsh_catalecticant(w: list[int], n: int, d: int, cols: Sequence[int]) -> list[list[int]]:
+    """Rows T ∈ P(n, n−3−d) of [W(S ^ T)] over the column odd sets S.
+
+    By volume_polynomial's coefficient formula the homogeneous Hankel entry
+    w_{α+γ} is ±D·W(odd(α) ^ odd(γ))/2, and odd(γ) runs over P(n, n−3−d):
+    up to one nonzero factor these are the distinct rows of
+    `_apolarity_matrix`, with the same rank and reduced-echelon kernel.
+    Columns sharing an odd set are equal: over S ∈ P(n, d) the rank is b_{2d}.
+    """
+    return [[w[s ^ t] for s in cols] for t in _odd_sets(n, n - 3 - d)]
+
+
 def catalecticant_rank(vp: VolumePolynomial, d: int, conv: Convention) -> int:
     """Rank of degree-d differentiation against the chamber polynomial.
 
-    Equals the Betti number b_{2d} of M(r) for nonempty chambers.
+    Equals the Betti number b_{2d} of M(r) for nonempty chambers; the
+    homogeneous rank is read from the chamber's Walsh table.
     """
     n = vp.chamber.n
     if not 0 <= d <= n - 3:
         raise DegreeOutOfRange(f"degree {d} outside 0..{n - 3}")
+    if conv.is_homogeneous:
+        return matrix_rank(_walsh_catalecticant(_walsh(vp.chamber), n, d, _odd_sets(n, d)))
     return _rank(vp.presented(conv), d)
 
 
@@ -133,14 +158,18 @@ def _rank(pres: Presented, d: int) -> int:
 def betti_numbers(sig: ChamberSignature, conv: Convention) -> tuple[int, ...]:
     """(b₀, b₂, …, b_{2(n−3)}); odd-degree cohomology vanishes.
 
-    The homogeneous convention is authoritative.  An affine convention
-    presents the subalgebra generated by the difference classes xᵢ − x_j,
-    which is the whole ring iff the degree-1 annihilator contains a form
-    with nonzero coefficient sum; for chambers with no linear relation at
-    all (b₂ = n) every affine presentation loses one degree-1 generator.
+    The homogeneous convention is authoritative; it is read from W (see
+    `_walsh_catalecticant`).  An affine convention presents the subalgebra
+    generated by the difference classes xᵢ − x_j, which is the whole ring
+    iff the degree-1 annihilator contains a form with nonzero coefficient
+    sum; for chambers with no linear relation at all (b₂ = n) every affine
+    presentation loses one degree-1 generator.
     """
     if sig.is_empty():
         raise EmptyChamber(f"no cohomology: {sig} has a long singleton")
+    if conv.is_homogeneous:
+        w, n = _walsh(sig), sig.n
+        return tuple(matrix_rank(_walsh_catalecticant(w, n, d, _odd_sets(n, d))) for d in range(n - 2))
     pres = volume_polynomial(sig).presented(conv)
     return tuple(_rank(pres, d) for d in range(sig.n - 2))
 
@@ -331,15 +360,23 @@ def presentation(sig: ChamberSignature, conv: Convention) -> ApolarPresentation:
     canonical basis whose vectors each end at their free monomial with
     coefficient 1.  The ranks of degrees 0..n−3 are the Betti numbers.  In
     each degree d = 1..n−2 the kernel K_d is reduced modulo the span of
-    xᵢ·K_{d−1} (K_0 is empty for a nonempty chamber).
+    xᵢ·K_{d−1} (K_0 is empty for a nonempty chamber).  Homogeneous
+    catalecticants are read from W, one row per odd set.
     """
     if sig.is_empty():
         raise EmptyChamber(f"no cohomology: {sig} has a long singleton")
-    pres = volume_polynomial(sig).presented(conv)
-    nvars = pres.poly.nvars
+    if conv.is_homogeneous:
+        nvars, w = sig.n, _walsh(sig)
+
+        def catalecticant(d: int) -> tuple[tuple[Exponents, ...], list[list[int]]]:
+            domain, odd = _monomials(nvars, d)
+            return domain, _walsh_catalecticant(w, nvars, d, odd)
+    else:
+        pres = volume_polynomial(sig).presented(conv)
+        nvars, catalecticant = pres.poly.nvars, partial(_apolarity_matrix, pres)
     ranks, kernels = [], []
     for d in range(sig.n - 1):
-        domain, mat = _apolarity_matrix(pres, d)
+        domain, mat = catalecticant(d)
         rank, kernel = sparse_kernel(mat, ncols=len(domain))
         ranks.append(rank)
         kernels.append([{domain[col]: c for col, c in vec.items()} for vec in kernel])

@@ -709,6 +709,29 @@ def enumerate_chambers(n: int, max_nodes: int | None = None) -> ChamberGraph:
     complete (for rᵢ ≥ rⱼ the first trade never raises a sum), so their
     crossings would end in DegenerateWall; complete targets still may.
     """
+    reps, found = _walk(n, max_nodes)
+    ordered = sorted(
+        ((ChamberSignature(n, s), rep) for s, rep in reps.items()), key=lambda item: item[0].sort_key()
+    )
+    index_of = {sig.shorts: i for i, (sig, _) in enumerate(ordered)}
+    nodes = tuple(
+        ChamberNode(sig, LengthVector(tuple(Fraction(x, den) for x in scaled)),
+                    sig.is_empty(), sig.is_external())
+        for sig, (scaled, den) in ordered
+    )
+    # the target swaps the pair {I, Iᶜ}; one edge per chamber pair, so the
+    # wall never decides the order
+    full = (1 << n) - 1
+    edges = sorted((index_of[a], index_of[a ^ (1 << mask | 1 << (full ^ mask))], mask) for a, mask in found)
+    return ChamberGraph(n, nodes, tuple((a, b, Wall(IndexSet(n, mask))) for a, b, mask in edges))
+
+
+def _walk(
+    n: int, max_nodes: int | None = None
+) -> tuple[dict[int, tuple[list[int], int]], list[tuple[int, int]]]:
+    """The walk of enumerate_chambers on bitsets, with no node objects: each
+    chamber's shorts → its representative as (integers, denominator), and
+    the edges as (source shorts, long set at the source)."""
     if not 3 <= n <= _N_LIMIT:
         raise ValueError(f"n = {n} outside the tractable range 3..{_N_LIMIT}")
     if max_nodes is not None and max_nodes < 1:
@@ -717,7 +740,7 @@ def enumerate_chambers(n: int, max_nodes: int | None = None) -> ChamberGraph:
     start = external_representative(n)
     start_shorts = signature(start).shorts
     reps: dict[int, tuple[list[int], int]] = {start_shorts: _scaled(start.lengths)}
-    found: list[tuple[int, int, int]] = []  # (source, target, long set at source)
+    found: list[tuple[int, int]] = []
     done: set[int] = set()
     queue: deque[int] = deque([start_shorts])
     while queue:
@@ -745,16 +768,5 @@ def enumerate_chambers(n: int, max_nodes: int | None = None) -> ChamberGraph:
                     raise BudgetExceeded(f"more than {max_nodes} chambers at n = {n}")
                 reps[neighbor] = (after, after_den)
                 queue.append(neighbor)
-            found.append((shorts, neighbor, full ^ m))
-    ordered = sorted(
-        ((ChamberSignature(n, s), rep) for s, rep in reps.items()), key=lambda item: item[0].sort_key()
-    )
-    index_of = {sig.shorts: i for i, (sig, _) in enumerate(ordered)}
-    nodes = tuple(
-        ChamberNode(sig, LengthVector(tuple(Fraction(x, den) for x in scaled)),
-                    sig.is_empty(), sig.is_external())
-        for sig, (scaled, den) in ordered
-    )
-    # one edge per chamber pair, so the wall never decides the order
-    edges = sorted((index_of[a], index_of[b], mask) for a, b, mask in found)
-    return ChamberGraph(n, nodes, tuple((a, b, Wall(IndexSet(n, mask))) for a, b, mask in edges))
+            found.append((shorts, full ^ m))
+    return reps, found

@@ -37,6 +37,8 @@ from polygonspace.chambers import (
     LengthVector,
     NonGenericSegment,
     SingularLength,
+    _maximal,
+    _walk,
     enumerate_chambers,
     epsilon,
     segment_crossings,
@@ -179,21 +181,25 @@ def _emit(doc: dict[str, object], fmt: str, out: TextIO) -> None:
 _TOKEN = re.compile(r"\d+/\d+|\d+\.\d+|\d+|[A-Za-z_]\w*|[+\-*^]")
 
 
-def _parse_poly(text: str, names: Sequence[str]) -> MultiPoly:
+def _parse_poly(text: str, names: Sequence[str], flag: str) -> MultiPoly:
     """Parse "3/2*x1^2*x3 - x2 + 5" or a JSON record list into a polynomial.
 
     Terms are ±coefficient*monomial with explicit '*' and '^'; variable
     labels must come from `names`, whose positions follow the active
-    convention.  No parentheses.
+    convention.  No parentheses.  Errors in a record list name `flag`.
     """
     nvars = len(names)
     stripped = text.strip()
     if stripped.startswith("["):
         try:
-            records = json.loads(stripped)
+            return MultiPoly.from_records(nvars, json.loads(stripped))
         except RecursionError:
             raise ValueError("polynomial records are nested too deeply") from None
-        return MultiPoly.from_records(nvars, records)
+        except json.JSONDecodeError:
+            form = 'polynomial text or a JSON list of {"coeff", "exps"} records'
+            raise ValueError(f"{flag} takes {form}, got {text!r}") from None
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from None
     pos = {name: i for i, name in enumerate(names)}
     tokens: list[str] = []
     i = 0
@@ -357,8 +363,8 @@ def _cmd_ring(args: argparse.Namespace) -> tuple[dict[str, object], int]:
 def _cmd_pairing(args: argparse.Namespace) -> tuple[dict[str, object], int]:
     r, conv, sig = _point(args)
     names = _variable_names(r.n, conv, "x")
-    a = CohomologyClass(_parse_poly(args.a, names))
-    b = CohomologyClass(_parse_poly(args.b, names))
+    a = CohomologyClass(_parse_poly(args.a, names, "--a"))
+    b = CohomologyClass(_parse_poly(args.b, names, "--b"))
     doc: dict[str, object] = {
         "n": r.n,
         "convention": str(conv),
@@ -450,15 +456,22 @@ def _cmd_wallcross(args: argparse.Namespace) -> tuple[dict[str, object], int]:
 
 
 def _cmd_chambers(args: argparse.Namespace) -> tuple[dict[str, object], int]:
-    graph = enumerate_chambers(args.n, max_nodes=args.max_nodes)
-    nonempty = sum(1 for node in graph.nodes if not node.empty)
+    n = args.n
+    if args.counts_only:  # the walk alone, with no node objects
+        reps, found = _walk(n, args.max_nodes)
+        shorts, edge_count = list(reps), len(found)
+    else:
+        graph = enumerate_chambers(n, max_nodes=args.max_nodes)
+        shorts, edge_count = [node.signature.shorts for node in graph.nodes], len(graph.edges)
+    singletons = sum(1 << (1 << i) for i in range(n))  # empty: one is long; external: one is maximal
+    empty = sum(1 for s in shorts if s & singletons != singletons)
     doc: dict[str, object] = {
-        "n": graph.n,
-        "count": len(graph.nodes),
-        "nonempty": nonempty,
-        "empty": len(graph.nodes) - nonempty,
-        "external": sum(1 for node in graph.nodes if node.external),
-        "edge_count": len(graph.edges),
+        "n": n,
+        "count": len(shorts),
+        "nonempty": len(shorts) - empty,
+        "empty": empty,
+        "external": sum(1 for s in shorts if _maximal(n, s) & singletons),
+        "edge_count": edge_count,
     }
     if not args.counts_only:
         doc["nodes"] = [

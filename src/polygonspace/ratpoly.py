@@ -17,6 +17,7 @@ intermediate coefficient growth compared to naive rational elimination.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -361,20 +362,20 @@ class MultiPoly:
         terms = []
         for rec in records:
             if not isinstance(rec, Mapping) or set(rec) != {"coeff", "exps"}:
-                raise ValueError(f"a record needs exactly the keys 'coeff' and 'exps', got {rec!r}")
+                raise ValueError(f"a record needs exactly the keys 'coeff' and 'exps', got {_shown(rec)}")
             coeff, exps = rec["coeff"], rec["exps"]
             if isinstance(coeff, str):
                 value = parse_rational(coeff)
             elif isinstance(coeff, (int, Fraction)) and not isinstance(coeff, bool):
                 value = Fraction(coeff)
             else:
-                raise ValueError(f"'coeff' must be a rational as text or an integer, got {coeff!r}")
+                raise ValueError(f"'coeff' must be a rational as text or an integer, got {_shown(coeff)}")
             if (
                 not isinstance(exps, (list, tuple))
                 or len(exps) != nvars
                 or any(type(k) is not int or k < 0 for k in exps)
             ):
-                raise ValueError(f"'exps' must be a list of {nvars} non-negative integers, got {exps!r}")
+                raise ValueError(f"'exps' must be a list of {nvars} non-negative integers, got {_shown(exps)}")
             terms.append((tuple(exps), value))
         return cls(nvars, terms)
 
@@ -408,6 +409,15 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.nvars}, {self.format()!r})"
+
+
+def _shown(value: object) -> str:
+    """A record value for a message: as JSON, the form records are read from,
+    or as its repr if it has none."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
 
 
 def monomial_exponents(nvars: int, degree: int) -> list[Exponents]:

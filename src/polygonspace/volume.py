@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from polygonspace.chambers import ChamberSignature, IndexSet, LengthVector, _members, _proper, signature
-from polygonspace.ratpoly import MultiIndex, MultiPoly, _scaled, monomial_exponents
+from polygonspace.ratpoly import Exponents, MultiIndex, MultiPoly, _scaled, monomial_exponents
 
 SCALE_NOTE = "(2pi)^(n-3)"
 
@@ -155,7 +155,35 @@ class VolumePolynomial:
         return out
 
 
-# A rebuild takes about 3 ms at n = 7 and 30 ms at n = 9 (2-core x86,
+@lru_cache(maxsize=None)
+def _monomials(n: int, d: int) -> tuple[tuple[Exponents, ...], tuple[int, ...]]:
+    """The degree-d monomials in n variables, graded-lex, and their odd sets
+    (the masks of their odd exponents)."""
+    domain = tuple(monomial_exponents(n, d))
+    return domain, tuple(sum(1 << i for i, k in enumerate(e) if k % 2) for e in domain)
+
+
+def _walsh(sig: ChamberSignature) -> list[int]:
+    """W(m) = Σ_I σ_I (−1)^{|m∩I|}, the Walsh–Hadamard transform of the signed
+    indicator I ↦ σ_I of the long sets and the full set (see volume_polynomial)."""
+    n = sig.n
+    size = 1 << n
+    w = [0] * size
+    w[size - 1] = 1  # full set
+    for m in _members(_proper(n) & ~sig.shorts):  # the long sets
+        w[m] = -1 if (n - m.bit_count()) % 2 else 1
+    half = 1
+    while half < size:
+        for start in range(0, size, 2 * half):
+            for j in range(start, start + half):
+                a, b = w[j], w[j + half]
+                w[j], w[j + half] = a + b, a - b
+        half *= 2
+    return w
+
+
+# A rebuild takes 0.2-0.4 ms at n = 7 and 1-7 ms at n = 9 once the first
+# build has made the monomial table (five random chambers each, 2-core x86,
 # Python 3.11), so a bounded cache loses little and keeps a long run from
 # holding the polynomial of every chamber it has met.
 VOLUME_CACHE_SIZE = 256
@@ -177,23 +205,12 @@ def volume_polynomial(sig: ChamberSignature) -> VolumePolynomial:
     """
     n = sig.n
     deg = n - 3
-    size = 1 << n
-    w = [0] * size
-    w[size - 1] = 1  # full set
-    for m in _members(_proper(n) & ~sig.shorts):  # the long sets
-        w[m] = -1 if (n - m.bit_count()) % 2 else 1
-    half = 1
-    while half < size:
-        for start in range(0, size, 2 * half):
-            for j in range(start, start + half):
-                a, b = w[j], w[j + half]
-                w[j], w[j + half] = a + b, a - b
-        half *= 2
+    w = _walsh(sig)
     sign = 1 if deg % 2 else -1  # −(−1)^{n−3}
     factorials = [math.factorial(k) for k in range(deg + 1)]
     terms = {}
-    for e in monomial_exponents(n, deg):
-        total = w[sum(1 << i for i, k in enumerate(e) if k % 2)]
+    for e, odd in zip(*_monomials(n, deg)):
+        total = w[odd]
         if total:
             terms[e] = Fraction(sign * total, 2 * math.prod(factorials[k] for k in e))
     return VolumePolynomial(sig, MultiPoly._from_terms(n, terms))

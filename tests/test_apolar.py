@@ -33,14 +33,20 @@ from polygonspace import (
     signature,
     volume_polynomial,
 )
-from polygonspace.ratpoly import matrix_rank, monomial_exponents, rank_and_kernel
+from polygonspace import apolar
+from polygonspace.apolar import _apolarity_matrix, _rank, _walsh_catalecticant
+from polygonspace.ratpoly import matrix_rank, monomial_exponents, rank_and_kernel, sparse_kernel
+from polygonspace.volume import _monomials, _walsh
 
 from conftest import (
+    hausmann_knutson_betti,
+    odd_perimeter_point,
     oracle_is_zero,
     oracle_pairing,
     random_nonempty,
     reference_annihilator_generators,
     same_span,
+    short_masks,
     span_rank,
 )
 
@@ -154,6 +160,72 @@ def test_gorenstein_duality_sampled() -> None:
         betti = betti_numbers(signature(random_nonempty(rng, n)), HOM)
         assert betti[0] == 1 and betti[-1] == 1
         assert betti == betti[::-1]
+
+
+# ------------------------------------------- catalecticants from the Walsh table
+
+
+def _monomial_betti(sig) -> tuple[int, ...]:
+    # the expanded route: ranks of the integer Hankel catalecticants of v
+    pres = volume_polynomial(sig).presented(HOM)
+    return tuple(_rank(pres, d) for d in range(sig.n - 2))
+
+
+def test_walsh_betti_matches_the_monomial_route(graph5, graph6) -> None:
+    sigs = [node.signature for g in (graph5, graph6) for node in g.nodes if not node.empty]
+    rng = random.Random(1515)
+    sigs += [signature(random_nonempty(rng, n)) for n in (7, 7, 7, 8, 8)]
+    assert len(sigs) == 76 + 1678 + 5
+    for sig in sigs:
+        assert betti_numbers(sig, HOM) == _monomial_betti(sig), sig
+    vp = volume_polynomial(sigs[-1])
+    assert [catalecticant_rank(vp, d, HOM) for d in range(6)] == list(_monomial_betti(sigs[-1]))
+
+
+def test_walsh_betti_matches_hausmann_knutson_at_large_n() -> None:
+    rng = random.Random(1516)
+    points = [odd_perimeter_point(rng, 9) for _ in range(4)] + [odd_perimeter_point(rng, 10)]
+    nonempty = 0
+    for r in points:
+        sig = signature(r)
+        if sig.is_empty():
+            continue
+        nonempty += 1
+        assert betti_numbers(sig, HOM) == hausmann_knutson_betti(r.n, short_masks(r)), r
+    assert nonempty == len(points)
+
+
+def test_walsh_kernels_match_the_hankel_kernels(graph5) -> None:
+    # presentation reads the homogeneous catalecticant from W: same
+    # columns, one row per odd set; its canonical kernels must be those of
+    # the monomial matrix over the Hankel table in every degree
+    rng = random.Random(1517)
+    sigs = [node.signature for node in graph5.nodes if not node.empty]
+    sigs += [signature(random_nonempty(rng, n)) for n in (6, 6, 6, 7, 7)]
+    for sig in sigs:
+        n, w, pres = sig.n, _walsh(sig), volume_polynomial(sig).presented(HOM)
+        for d in range(n - 1):
+            domain, mat = _apolarity_matrix(pres, d)
+            assert tuple(domain) == _monomials(n, d)[0]
+            rows = _walsh_catalecticant(w, n, d, _monomials(n, d)[1])
+            assert sparse_kernel(rows, len(domain)) == sparse_kernel(mat, len(domain)), (sig, d)
+
+
+def test_a_wrong_walsh_sign_is_caught(graph5, monkeypatch) -> None:
+    # flipping one σ_I of the signed indicator adds −2σ_I·(−1)^|m∩I| to
+    # W(m), by linearity; the Betti numbers read from W must then disagree
+    # with the Hausmann–Knutson count on some chamber
+    def flipped(sig):
+        n = sig.n
+        I = min(m for m in range(1, 1 << n) if not sig.shorts >> m & 1)
+        sigma = -1 if (n - I.bit_count()) % 2 else 1
+        return [x - 2 * sigma * (-1) ** (m & I).bit_count() for m, x in enumerate(_walsh(sig))]
+
+    nodes = [node for node in graph5.nodes if not node.empty]
+    expected = [hausmann_knutson_betti(5, short_masks(node.representative)) for node in nodes]
+    assert [betti_numbers(node.signature, HOM) for node in nodes] == expected
+    monkeypatch.setattr(apolar, "_walsh", flipped)
+    assert sum(betti_numbers(node.signature, HOM) != hk for node, hk in zip(nodes, expected)) > 0
 
 
 # ----------------------------------------------------------------- annihilator

@@ -384,6 +384,16 @@ def test_exit_usage_errors() -> None:
         (["intersect", "--r", CP2, "--alpha", "0,0,2,0,0", "--convention", "affine:x"],
          "convention 'affine:x': expected affine:J with J an integer"),
         (["pd-class", "--set", "1,,2", "--n", "5"], "--set takes comma-separated integers, got '1,,2'"),
+        (["pairing", "--r", BLOWUP, "--a", "[[", "--b", "x3"],
+         """--a takes polynomial text or a JSON list of {"coeff", "exps"} records, got '[['"""),
+        (["pairing", "--r", BLOWUP, "--a", "x3", "--b", "[["],
+         """--b takes polynomial text or a JSON list of {"coeff", "exps"} records, got '[['"""),
+        (["pairing", "--r", BLOWUP, "--a", "[null]", "--b", "x3"],
+         "--a: a record needs exactly the keys 'coeff' and 'exps', got null"),
+        (["pairing", "--r", BLOWUP, "--a", "x3", "--b", '[{"coeff": null, "exps": [0, 0, 1, 0, 0]}]'],
+         "--b: 'coeff' must be a rational as text or an integer, got null"),
+        (["pairing", "--r", BLOWUP, "--a", '[{"coeff": "1", "exps": [0, null, 1, 0, 0]}]', "--b", "x3"],
+         "--a: 'exps' must be a list of 5 non-negative integers, got [0, null, 1, 0, 0]"),
     ],
 )
 def test_malformed_arguments_are_named_not_dumped(argv: list[str], named: str) -> None:

@@ -4,6 +4,7 @@ evaluation oracles and a plain Gaussian-elimination rank oracle."""
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -244,6 +245,19 @@ def test_records_round_trip_and_format() -> None:
         [{"coeff": "1", "exps": 3}],
     ):
         with pytest.raises(ValueError):
+            MultiPoly.from_records(3, bad)
+
+
+def test_record_errors_show_values_as_json() -> None:
+    # records are read from JSON, so a bad value is shown as JSON (null,
+    # true), and a value JSON cannot hold by its repr
+    for bad, shown in (
+        ([None], "got null"),
+        ([{"coeff": None, "exps": [1, 0, 0]}], "got null"),
+        ([{"coeff": "1", "exps": [1, True, 0]}], "got [1, true, 0]"),
+        ([{"coeff": Fraction(1, 2), "exps": [1, 0, 0], "extra": 0}], "got {'coeff': Fraction(1, 2)"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(shown)):
             MultiPoly.from_records(3, bad)
 
 
