@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import add
 from typing import Sequence
 
@@ -31,7 +31,6 @@ from polygonspace.ratpoly import (
 )
 from polygonspace.volume import (
     Convention,
-    Presented,
     VolumePolynomial,
     WrongTotalDegree,
     _monomials,
@@ -85,81 +84,83 @@ class ApolarPresentation:
     ann_generators: tuple[tuple[int, tuple[MultiPoly, ...]], ...]
 
 
-def _image_monomials(pres: Presented, d: int) -> list[Exponents]:
-    """The monomials γ at which Q(∂)poly can be nonzero, for Q of degree d.
-
-    A single graded piece when poly is homogeneous, every lower degree
-    otherwise.
-    """
-    top = max(pres.poly.degree() - d, 0)
-    degrees = [top] if pres.homogeneous and not pres.poly.is_zero else range(top + 1)
-    return [gamma for k in degrees for gamma in monomial_exponents(pres.poly.nvars, k)]
-
-
-def _apolarity_matrix(pres: Presented, d: int) -> tuple[list[Exponents], list[list[int]]]:
-    """Integer matrix of Q ↦ Q(∂)poly restricted to degree-d monomials Q.
-
-    Columns are the degree-d monomials α in graded-lex order, rows the
-    monomials γ of the image space.  ∂^α poly has coefficient
-    c_{α+γ}·(α+γ)!/γ! at x^γ; row γ is scaled by γ! and every row by the
-    table's common denominator D, so the entry is the Hankel table's
-    w_{α+γ} = D·c_{α+γ}·(α+γ)!.  Nonzero row scaling keeps the rank and the
-    right kernel, which is the degree-d annihilator in graded-lex
-    coordinates.
-    """
-    hankel = pres.hankel
-    domain = monomial_exponents(pres.poly.nvars, d)
-    mat = [
-        [hankel.get(tuple(map(add, alpha, gamma)), 0) for alpha in domain]
-        for gamma in _image_monomials(pres, d)
-    ]
-    return domain, mat
-
-
 @lru_cache(maxsize=None)
 def _odd_sets(n: int, j: int) -> tuple[int, ...]:
     """P(n, j), the odd-exponent sets of the degree-j monomials: |S| ≤ j, |S| ≡ j (mod 2)."""
     return tuple(m for m in range(1 << n) if m.bit_count() <= j and (j - m.bit_count()) % 2 == 0)
 
 
-def _walsh_catalecticant(w: list[int], n: int, d: int, cols: Sequence[int]) -> list[list[int]]:
-    """Rows T ∈ P(n, n−3−d) of [W(S ^ T)] over the column odd sets S.
+Fold = tuple[tuple[int, int], ...]
+
+
+def _columns(n: int, d: int, conv: Convention) -> tuple[tuple[Exponents, ...], Sequence[int] | list[Fold]]:
+    """The degree-d monomials in the convention's variables, graded-lex, and
+    each one's catalecticant column (see `_catalecticant`).
+
+    A homogeneous x^α has the column odd(α).  Under AFFINE(j), y^β acts on
+    v_aff as its lift ∏_{i∈B}(xᵢ − xⱼ)^{bᵢ} acts on v, B the support of β
+    (see `Convention.lift`).  Taking kᵢ of the bᵢ factors from −xⱼ gives a
+    monomial whose odd set depends on the parities ρᵢ of the kᵢ only, and
+    Σ_{k≡ρ (2)} C(b,k)(−1)^k = (−1)^ρ·2^{b−1} for b ≥ 1, so the column is
+    the fold 2^{|β|−|B|}·Σ_{F⊆B} (−1)^{|F|} at odd(β) △ F △ ({j} if |F| is
+    odd), as (coefficient, odd set) pairs.
+    """
+    domain, odd = _monomials(conv.nvars(n), d)
+    j = conv.affine_index
+    if j is None:
+        return domain, odd
+    folds = []
+    for beta in domain:
+        beta = beta[: j - 1] + (0,) + beta[j - 1 :]
+        fold = [(1 << d - sum(map(bool, beta)), sum(1 << i for i, b in enumerate(beta) if b % 2))]
+        for i in (i for i, b in enumerate(beta) if b):
+            fold += [(-c, s ^ (1 << i | 1 << j - 1)) for c, s in fold]
+        folds.append(tuple(fold))
+    return domain, folds
+
+
+def _catalecticant(
+    w: list[int], n: int, d: int, columns: Sequence[int] | list[Fold], conv: Convention
+) -> list[list[int]]:
+    """Rows T ∈ P(n, n−3−d) of W(S ^ T) over the homogeneous columns S, or
+    of Σ c·W(S ^ T) over the pairs (c, S) of each affine fold.
 
     By volume_polynomial's coefficient formula the homogeneous Hankel entry
     w_{α+γ} is ±D·W(odd(α) ^ odd(γ))/2, and odd(γ) runs over P(n, n−3−d):
-    up to one nonzero factor these are the distinct rows of
-    `_apolarity_matrix`, with the same rank and reduced-echelon kernel.
-    Columns sharing an odd set are equal: over S ∈ P(n, d) the rank is b_{2d}.
+    up to one nonzero factor these are the distinct rows of Q ↦ Q(∂)v over
+    the columns' (lifted) classes Q, with the same rank and reduced-echelon
+    kernel; lifting loses nothing (see `Convention.lift`).
     """
-    return [[w[s ^ t] for s in cols] for t in _odd_sets(n, n - 3 - d)]
+    rows = _odd_sets(n, n - 3 - d)
+    if conv.is_homogeneous:
+        return [[w[s ^ t] for s in columns] for t in rows]
+    return [[sum(c * w[s ^ t] for c, s in fold) for fold in columns] for t in rows]
+
+
+def _betti(w: list[int], n: int, d: int, conv: Convention) -> int:
+    """b_{2d}: the rank of the degree-d catalecticant over its distinct
+    columns, one per odd set when homogeneous."""
+    columns = _odd_sets(n, d) if conv.is_homogeneous else list(dict.fromkeys(_columns(n, d, conv)[1]))
+    return matrix_rank(_catalecticant(w, n, d, columns, conv))
 
 
 def catalecticant_rank(vp: VolumePolynomial, d: int, conv: Convention) -> int:
     """Rank of degree-d differentiation against the chamber polynomial.
 
-    Equals the Betti number b_{2d} of M(r) for nonempty chambers; the
-    homogeneous rank is read from the chamber's Walsh table.
+    Equals the Betti number b_{2d} of M(r) for nonempty chambers; it is
+    read from the chamber's Walsh table.
     """
     n = vp.chamber.n
     if not 0 <= d <= n - 3:
         raise DegreeOutOfRange(f"degree {d} outside 0..{n - 3}")
-    if conv.is_homogeneous:
-        return matrix_rank(_walsh_catalecticant(_walsh(vp.chamber), n, d, _odd_sets(n, d)))
-    return _rank(vp.presented(conv), d)
-
-
-def _rank(pres: Presented, d: int) -> int:
-    if pres.poly.is_zero:
-        return 0
-    domain, mat = _apolarity_matrix(pres, d)
-    return matrix_rank(mat, ncols=len(domain))
+    return _betti(_walsh(vp.chamber), n, d, conv)
 
 
 def betti_numbers(sig: ChamberSignature, conv: Convention) -> tuple[int, ...]:
     """(b₀, b₂, …, b_{2(n−3)}); odd-degree cohomology vanishes.
 
-    The homogeneous convention is authoritative; it is read from W (see
-    `_walsh_catalecticant`).  An affine convention presents the subalgebra
+    The homogeneous convention is authoritative; both are read from W (see
+    `_catalecticant`).  An affine convention presents the subalgebra
     generated by the difference classes xᵢ − x_j, which is the whole ring
     iff the degree-1 annihilator contains a form with nonzero coefficient
     sum; for chambers with no linear relation at all (b₂ = n) every affine
@@ -167,11 +168,8 @@ def betti_numbers(sig: ChamberSignature, conv: Convention) -> tuple[int, ...]:
     """
     if sig.is_empty():
         raise EmptyChamber(f"no cohomology: {sig} has a long singleton")
-    if conv.is_homogeneous:
-        w, n = _walsh(sig), sig.n
-        return tuple(matrix_rank(_walsh_catalecticant(w, n, d, _odd_sets(n, d))) for d in range(n - 2))
-    pres = volume_polynomial(sig).presented(conv)
-    return tuple(_rank(pres, d) for d in range(sig.n - 2))
+    w, n = _walsh(sig), sig.n
+    return tuple(_betti(w, n, d, conv) for d in range(n - 2))
 
 
 def _reduce_modulo(
@@ -249,22 +247,22 @@ def is_zero_class(
 ) -> bool:
     """True iff the class annihilates the chamber polynomial (is zero in H*).
 
-    Q(∂)v has coefficient Σ_α q_α·w_{α+γ}/(D·γ!) at x^γ (see `Presented`),
-    so Q is zero exactly when each of these integer sums vanishes.
+    The class is lifted to the homogeneous ring (see `Convention.lift`);
+    Q(∂)v has coefficient Σ_α q_α·w_{α+γ}/(D·γ!) at x^γ (see
+    `VolumePolynomial.hankel`), so Q is zero exactly when each of these
+    integer sums vanishes.
     """
-    pres = volume_polynomial(sig).presented(conv)
-    if c.nvars != pres.poly.nvars:
-        raise ValueError(
-            f"class has {c.nvars} variables, convention expects {pres.poly.nvars}"
-        )
-    if c.poly.is_zero or c.degree > pres.poly.degree():
+    n = sig.n
+    # every class above the top degree is zero; its variables are still checked
+    q = conv.lift(c.poly if c.degree <= n - 3 else MultiPoly.zero(c.nvars), n)
+    if q.is_zero:
         return True
-    hankel = pres.hankel
-    alphas, coeffs = zip(*c.poly.terms())
-    q = _scaled(coeffs)[0]
+    hankel = volume_polynomial(sig).hankel[0]
+    alphas, coeffs = zip(*q.terms())
+    scaled = _scaled(coeffs)[0]
     return not any(
-        sum(qa * hankel.get(tuple(map(add, alpha, gamma)), 0) for alpha, qa in zip(alphas, q))
-        for gamma in _image_monomials(pres, c.degree)
+        sum(qa * hankel.get(tuple(map(add, alpha, gamma)), 0) for alpha, qa in zip(alphas, scaled))
+        for gamma in monomial_exponents(n, n - 3 - q.degree())
     )
 
 
@@ -276,23 +274,24 @@ def poincare_pairing(
 ) -> Fraction:
     """⟨a·b, [M(r)]⟩ for complementary degrees (deg a + deg b = n−3).
 
-    The top derivative (a·b)(∂)v is the constant Σ_{α,β} a_α·b_β·w_{α+β}/D.
+    With a and b lifted, the top derivative (a·b)(∂)v is the constant
+    Σ_{α,β} a_α·b_β·w_{α+β}/D.  The zero class pairs to 0 with any class.
     """
-    if a.degree + b.degree != sig.n - 3:
+    n, zero = sig.n, not (a.poly and b.poly)
+    if not zero and a.degree + b.degree != n - 3:
         raise WrongTotalDegree(
-            f"degrees {a.degree}+{b.degree} != n-3 = {sig.n - 3}"
+            f"degrees {a.degree}+{b.degree} != n-3 = {n - 3}"
         )
-    pres = volume_polynomial(sig).presented(conv)
-    if a.nvars != pres.poly.nvars or b.nvars != pres.poly.nvars:
-        raise ValueError("class variable count does not match the convention")
-    hankel = pres.hankel
-    (ia, da), (ib, db) = (_scaled([c for _, c in x.poly.terms()]) for x in (a, b))
+    # the zero class is lifted as itself, for its variables to be checked
+    la, lb = (conv.lift(MultiPoly.zero(x.nvars) if zero else x.poly, n) for x in (a, b))
+    hankel, scale = volume_polynomial(sig).hankel
+    (ia, da), (ib, db) = (_scaled([c for _, c in x.terms()]) for x in (la, lb))
     total = sum(
         ca * cb * hankel.get(tuple(map(add, alpha, beta)), 0)
-        for (alpha, _), ca in zip(a.poly.terms(), ia)
-        for (beta, _), cb in zip(b.poly.terms(), ib)
+        for (alpha, _), ca in zip(la.terms(), ia)
+        for (beta, _), cb in zip(lb.terms(), ib)
     )
-    return Fraction(total, pres.scale * da * db)
+    return Fraction(total, scale * da * db)
 
 
 def pd_class(I: IndexSet, base: int) -> CohomologyClass:
@@ -324,12 +323,7 @@ def normal_bundle_chern(I: IndexSet, base: int) -> CohomologyClass:
     """
     if not I.contains(base):
         raise BaseNotInSet(f"base {base} not in {I}")
-    n = I.n
-    out = MultiPoly.zero(n)
-    for j in I.indices:
-        if j != base:
-            out = out - 2 * MultiPoly.variable(n, j - 1)
-    return CohomologyClass(out)
+    return CohomologyClass(MultiPoly.linear_form([-2 * (i != base and I.contains(i)) for i in range(1, I.n + 1)]))
 
 
 def pd_bases_agree(
@@ -341,15 +335,9 @@ def pd_bases_agree(
     smallest element of I by testing the difference for membership in the
     annihilator.
     """
-    indices = I.indices
-    ref = pd_class(I, indices[0])
-    for base in indices[1:]:
-        diff = pd_class(I, base).poly - ref.poly
-        if diff.is_zero:
-            continue
-        if not is_zero_class(CohomologyClass(diff), sig, conv):
-            return False
-    return True
+    ref = pd_class(I, I.indices[0]).poly
+    diffs = (pd_class(I, base).poly - ref for base in I.indices[1:])
+    return all(is_zero_class(CohomologyClass(diff), sig, conv) for diff in diffs if diff)
 
 
 def presentation(sig: ChamberSignature, conv: Convention) -> ApolarPresentation:
@@ -360,24 +348,16 @@ def presentation(sig: ChamberSignature, conv: Convention) -> ApolarPresentation:
     canonical basis whose vectors each end at their free monomial with
     coefficient 1.  The ranks of degrees 0..n−3 are the Betti numbers.  In
     each degree d = 1..n−2 the kernel K_d is reduced modulo the span of
-    xᵢ·K_{d−1} (K_0 is empty for a nonempty chamber).  Homogeneous
-    catalecticants are read from W, one row per odd set.
+    xᵢ·K_{d−1} (K_0 is empty for a nonempty chamber).  Catalecticants are
+    read from W, one row per odd set (see `_columns`).
     """
     if sig.is_empty():
         raise EmptyChamber(f"no cohomology: {sig} has a long singleton")
-    if conv.is_homogeneous:
-        nvars, w = sig.n, _walsh(sig)
-
-        def catalecticant(d: int) -> tuple[tuple[Exponents, ...], list[list[int]]]:
-            domain, odd = _monomials(nvars, d)
-            return domain, _walsh_catalecticant(w, nvars, d, odd)
-    else:
-        pres = volume_polynomial(sig).presented(conv)
-        nvars, catalecticant = pres.poly.nvars, partial(_apolarity_matrix, pres)
+    n, w, nvars = sig.n, _walsh(sig), conv.nvars(sig.n)
     ranks, kernels = [], []
-    for d in range(sig.n - 1):
-        domain, mat = catalecticant(d)
-        rank, kernel = sparse_kernel(mat, ncols=len(domain))
+    for d in range(n - 1):
+        domain, columns = _columns(n, d, conv)
+        rank, kernel = sparse_kernel(_catalecticant(w, n, d, columns, conv), ncols=len(domain))
         ranks.append(rank)
         kernels.append([{domain[col]: c for col, c in vec.items()} for vec in kernel])
     generators = tuple(
@@ -385,7 +365,7 @@ def presentation(sig: ChamberSignature, conv: Convention) -> ApolarPresentation:
             MultiPoly._from_terms(nvars, kernels[d][k])
             for k in _reduce_modulo(kernels[d], kernels[d - 1], nvars)
         ))
-        for d in range(1, sig.n - 1)
+        for d in range(1, n - 1)
     )
     return ApolarPresentation(
         chamber=sig, convention=conv, betti=tuple(ranks[:-1]), ann_generators=generators

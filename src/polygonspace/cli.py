@@ -310,7 +310,7 @@ def _cmd_volume(args: argparse.Namespace) -> tuple[dict[str, object], int]:
         "r": r.to_strings(),
         "convention": str(conv),
         "variables": names,
-        "poly": _poly_doc(vp.presented(conv).poly, names),
+        "poly": _poly_doc(conv.apply(vp.v), names),
         "value_at_r": format_rational(vp.v.evaluate(tuple(r))),
         "scale": vp.scale_note,
     }

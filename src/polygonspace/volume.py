@@ -10,15 +10,16 @@ computes the jump between the polynomials of two adjacent chambers.
 All volumes are reported without the transcendental prefactor: the true
 symplectic volume is (2π)^(n−3) times the rational value computed here.
 Every polynomial is stored in the homogeneous convention (all n variables);
-another convention is applied on first use and kept with the polynomial.
+an affine convention is a change of variables on classes (`Convention.lift`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import product
 
 from polygonspace.chambers import ChamberSignature, IndexSet, LengthVector, _members, _proper, signature
 from polygonspace.ratpoly import Exponents, MultiIndex, MultiPoly, _scaled, monomial_exponents
@@ -85,19 +86,45 @@ class Convention:
             return "homogeneous"
         return f"affine:{self.affine_index}"
 
-    def _check_n(self, n: int) -> None:
+    def nvars(self, n: int) -> int:
+        """The number of variables of this convention for n sides."""
         j = self.affine_index
-        if j is not None and j > n:
+        if j is None:
+            return n
+        if j > n:
             raise ValueError(f"affine index {j} exceeds n = {n}")
+        return n - 1
 
     def apply(self, poly: MultiPoly) -> MultiPoly:
         """Present a homogeneous n-variable polynomial in this convention."""
         j = self.affine_index
         if j is None:
             return poly
-        self._check_n(poly.nvars)
-        replacement = 1 - MultiPoly.linear_form([1] * (poly.nvars - 1))
+        replacement = 1 - MultiPoly.linear_form([1] * self.nvars(poly.nvars))
         return poly.eliminate_variable(j - 1, replacement)
+
+    def lift(self, poly: MultiPoly, n: int) -> MultiPoly:
+        """The homogeneous class that a class in this convention stands for.
+
+        Under AFFINE(j), ∂/∂yᵢ of v restricted to the slice is (∂ᵢ − ∂ⱼ)v
+        restricted, so Q(∂)v_aff is L(Q)(∂)v restricted, where L substitutes
+        xᵢ − xⱼ for yᵢ; here expanded by binomials.  L is a ring map, and
+        restriction to Σr = 1 is injective on homogeneous polynomials, so Q is
+        zero in the affine ring iff L(Q) is zero in the homogeneous one.
+        """
+        if poly.nvars != (expected := self.nvars(n)):
+            raise ValueError(f"wrong variable count: class has {poly.nvars} variables, "
+                             f"convention expects {expected}")
+        j = self.affine_index
+        if j is None:
+            return poly
+        acc: dict[Exponents, Fraction] = {}
+        for e, c in poly.terms():
+            for ks in product(*(range(b + 1) for b in e)):  # kᵢ of the eᵢ factors xᵢ − xⱼ give −xⱼ
+                alpha = tuple(b - k for b, k in zip(e, ks))
+                alpha = alpha[: j - 1] + (sum(ks),) + alpha[j - 1 :]
+                acc[alpha] = acc.get(alpha, 0) + (-1) ** sum(ks) * math.prod(map(math.comb, e, ks)) * c
+        return MultiPoly._from_terms(n, {e: c for e, c in acc.items() if c})
 
     def reduce_multiindex(self, alpha: MultiIndex, n: int) -> MultiIndex:
         """Drop the eliminated position from alpha; reject if it is used."""
@@ -106,7 +133,7 @@ class Convention:
         j = self.affine_index
         if j is None:
             return alpha
-        self._check_n(n)
+        self.nvars(n)  # rejects an index above n
         if alpha.exponents[j - 1] != 0:
             raise AffineIndexUsed(
                 f"derivative in r_{j} is not available under {self}"
@@ -114,45 +141,31 @@ class Convention:
         return MultiIndex(alpha.exponents[: j - 1] + alpha.exponents[j:])
 
 
-class Presented:
-    """A chamber polynomial in one convention, with its integer Hankel table.
-
-    ``hankel`` maps each exponent e of ``poly`` to w_e = D·c_e·e!, where c_e
-    is the coefficient and D = ``scale`` the least common denominator of the
-    c_e·e!.  Since ∂^α x^e = e!/(e−α)!·x^{e−α}, the coefficient of x^γ in
-    Q(∂)poly is Σ_α q_α·w_{α+γ}/(D·γ!), so membership tests, pairings and
-    catalecticants read this table instead of differentiating.
-    """
-
-    def __init__(self, poly: MultiPoly) -> None:
-        table, self.scale = _scaled([c * math.prod(map(math.factorial, e)) for e, c in poly.terms()])
-        self.poly = poly
-        self.hankel = {e: w for (e, _), w in zip(poly.terms(), table)}
-        self.homogeneous = poly.is_homogeneous()
-
-
 @dataclass(frozen=True)
 class VolumePolynomial:
     """The chamber's volume polynomial, homogeneous of degree n−3 in r₁..rₙ.
 
     The true volume is (2π)^(n−3) times v; identically zero on empty
-    chambers.  Its presentation in each convention is built on first use
-    and kept here, so it lives exactly as long as the cached polynomial.
+    chambers.
     """
 
     chamber: ChamberSignature
     v: MultiPoly
     scale_note: str = SCALE_NOTE
-    _presented: dict[Convention, Presented] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
-    def presented(self, conv: Convention) -> Presented:
-        """v in the given convention, with its Hankel table (built once)."""
-        out = self._presented.get(conv)
-        if out is None:
-            out = self._presented[conv] = Presented(conv.apply(self.v))
-        return out
+    @cached_property
+    def hankel(self) -> tuple[dict[Exponents, int], int]:
+        """(w, D): w_e = D·c_e·e! over the coefficients c_e of v, D the least
+        common denominator of the c_e·e!.
+
+        Since ∂^α x^e = e!/(e−α)!·x^{e−α}, the coefficient of x^γ in Q(∂)v is
+        Σ_α q_α·w_{α+γ}/(D·γ!), so membership tests and pairings read this
+        table instead of differentiating.  Built on first use and kept here,
+        so it lives exactly as long as the cached polynomial.
+        """
+        terms = self.v.terms()
+        table, scale = _scaled([c * math.prod(map(math.factorial, e)) for e, c in terms])
+        return {e: w for (e, _), w in zip(terms, table)}, scale
 
 
 @lru_cache(maxsize=None)
@@ -226,7 +239,7 @@ def derivative_polynomial(
 ) -> MultiPoly:
     """∂^α of the chamber polynomial presented in the given convention."""
     reduced = conv.reduce_multiindex(alpha, vp.chamber.n)
-    return vp.presented(conv).poly.differentiate(reduced)
+    return conv.apply(vp.v).differentiate(reduced)
 
 
 def intersection_number(
@@ -235,13 +248,18 @@ def intersection_number(
     """∫ c₁^{α₁}⋯cₙ^{αₙ} over M(r) for r in the chamber, |α| = n−3.
 
     The top-order derivative of the volume polynomial is a constant; its
-    value is the intersection number in the chosen convention.
+    value is the intersection number in the chosen convention.  ∂^α v is
+    w_α/D, so it is read from the Hankel table, after lifting x^α.
     """
-    if alpha.total != sig.n - 3:
+    n = sig.n
+    if alpha.total != n - 3:
         raise WrongTotalDegree(
-            f"|alpha| = {alpha.total}, expected n-3 = {sig.n - 3}"
+            f"|alpha| = {alpha.total}, expected n-3 = {n - 3}"
         )
-    return derivative_polynomial(volume_polynomial(sig), alpha, conv).constant_value()
+    reduced = conv.reduce_multiindex(alpha, n).exponents
+    w, scale = volume_polynomial(sig).hankel
+    lifted = conv.lift(MultiPoly._from_terms(len(reduced), {reduced: Fraction(1)}), n)
+    return sum(c * w.get(e, 0) for e, c in lifted.terms()) / scale
 
 
 def wall_jump(

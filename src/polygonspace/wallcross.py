@@ -187,8 +187,8 @@ def _expected_table(n: int, exit_mask: int) -> dict[tuple[int, ...], int]:
 
 def _jump_agrees(sig0: ChamberSignature, sig1: ChamberSignature, exit_mask: int) -> bool:
     """v₁ − v₀ is the closed form of exit_mask: w¹·D⁰ − w⁰·D¹ = wˣ·D⁰·D¹ on Hankel tables."""
-    t0, t1 = (volume_polynomial(s).presented(Convention.homogeneous()) for s in (sig0, sig1))
-    x, w0, w1, d0, d1 = _expected_table(sig0.n, exit_mask), t0.hankel, t1.hankel, t0.scale, t1.scale
+    (w0, d0), (w1, d1) = (volume_polynomial(s).hankel for s in (sig0, sig1))
+    x = _expected_table(sig0.n, exit_mask)
     return w0.keys() <= x.keys() >= w1.keys() and all(
         w1.get(e, 0) * d0 - w0.get(e, 0) * d1 == w * d0 * d1 for e, w in x.items())
 

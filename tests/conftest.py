@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from functools import lru_cache
 from itertools import permutations
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
+from operator import add
 from typing import Sequence
 
 import pytest
@@ -27,7 +29,7 @@ from polygonspace.chambers import (
     segment_crossings,
     signature,
 )
-from polygonspace.ratpoly import MultiPoly, matrix_rank, monomial_exponents
+from polygonspace.ratpoly import Exponents, MultiPoly, matrix_rank, monomial_exponents
 from polygonspace.volume import Convention, volume_polynomial
 from polygonspace.wallcross import betti_delta
 
@@ -377,7 +379,7 @@ def reference_annihilator_generators(
     x_i times the previous degree's kernel.  Oracle for
     apolar.annihilator_generators.
     """
-    poly = conv.apply(volume_polynomial(sig).v)
+    poly = presented(sig, conv)
     nvars = poly.nvars
     out = []
     prev_kernel: list[MultiPoly] = []
@@ -411,17 +413,69 @@ def same_span(a: list[MultiPoly], b: list[MultiPoly], nvars: int, degree: int) -
 
 
 def oracle_is_zero(c: MultiPoly, sig: ChamberSignature, conv: Convention) -> bool:
-    """Q(d)v = 0, with v presented afresh and the operator applied term by term.
+    """Q(d)v = 0, with v expanded by ``presented`` and the operator applied term by term.
 
     Goes through ``MultiPoly.apply_operator`` (one ``differentiate`` per
     term of Q), not the chamber's Hankel table.  Oracle for
     apolar.is_zero_class.
     """
-    return c.apply_operator(conv.apply(volume_polynomial(sig).v)).is_zero
+    return c.apply_operator(presented(sig, conv)).is_zero
 
 
 def oracle_pairing(
     a: MultiPoly, b: MultiPoly, sig: ChamberSignature, conv: Convention
 ) -> Fraction:
     """(a*b)(d)v by ``apply_operator``, a constant.  Oracle for poincare_pairing."""
-    return (a * b).apply_operator(conv.apply(volume_polynomial(sig).v)).constant_value()
+    return (a * b).apply_operator(presented(sig, conv)).constant_value()
+
+
+# -- the expanded route: the chamber polynomial presented in a convention,
+# its Hankel table and catalecticants with rows in every degree.  Oracle for
+# the library, which reads only the homogeneous tables and lifts affine
+# classes to them.
+
+
+@lru_cache(maxsize=1024)
+def presented(sig: ChamberSignature, conv: Convention) -> MultiPoly:
+    """The chamber polynomial in the convention, expanded by ``Convention.apply``
+    (kept for the oracles that ask for it again)."""
+    return conv.apply(volume_polynomial(sig).v)
+
+
+def hankel_table(poly: MultiPoly) -> tuple[dict[Exponents, int], int]:
+    """(w, D): w_e = D*c_e*e! over the coefficients c_e of poly, D the least
+    common denominator of the c_e*e!."""
+    values = {e: c * prod(map(factorial, e)) for e, c in poly.terms()}
+    scale = lcm(*(x.denominator for x in values.values()))
+    return {e: x.numerator * (scale // x.denominator) for e, x in values.items()}, scale
+
+
+def expanded_catalecticant(
+    poly: MultiPoly, d: int, hankel: dict[Exponents, int] | None = None
+) -> tuple[list[Exponents], list[list[int]]]:
+    """Integer matrix of Q -> Q(d)poly on the degree-d monomials Q.
+
+    Columns are the degree-d monomials a, rows the monomials g of the image
+    space: one graded piece when poly is homogeneous and nonzero, every
+    lower degree otherwise.  The entry is the Hankel table's w_{a+g} (row g
+    scaled by D*g!), which keeps the rank and the right kernel; the table
+    is built here unless given.
+    """
+    hankel = hankel_table(poly)[0] if hankel is None else hankel
+    domain = monomial_exponents(poly.nvars, d)
+    top = max(poly.degree() - d, 0)
+    degrees = [top] if poly.is_homogeneous() and not poly.is_zero else range(top + 1)
+    rows = [
+        [hankel.get(tuple(map(add, alpha, gamma)), 0) for alpha in domain]
+        for k in degrees
+        for gamma in monomial_exponents(poly.nvars, k)
+    ]
+    return domain, rows
+
+
+def expanded_betti(sig: ChamberSignature, conv: Convention) -> tuple[int, ...]:
+    """Catalecticant ranks of the presented polynomial in degrees 0..n-3."""
+    poly = presented(sig, conv)
+    hankel = hankel_table(poly)[0]
+    matrices = (expanded_catalecticant(poly, d, hankel) for d in range(sig.n - 2))
+    return tuple(matrix_rank(rows, ncols=len(domain)) for domain, rows in matrices)

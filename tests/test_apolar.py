@@ -19,11 +19,13 @@ from polygonspace import (
     EmptyChamber,
     IndexSet,
     LengthVector,
+    MultiIndex,
     MultiPoly,
     WrongTotalDegree,
     annihilator_generators,
     betti_numbers,
     catalecticant_rank,
+    intersection_number,
     is_zero_class,
     normal_bundle_chern,
     pd_bases_agree,
@@ -34,15 +36,18 @@ from polygonspace import (
     volume_polynomial,
 )
 from polygonspace import apolar
-from polygonspace.apolar import _apolarity_matrix, _rank, _walsh_catalecticant
+from polygonspace.apolar import _catalecticant, _columns
 from polygonspace.ratpoly import matrix_rank, monomial_exponents, rank_and_kernel, sparse_kernel
 from polygonspace.volume import _monomials, _walsh
 
 from conftest import (
+    expanded_betti,
+    expanded_catalecticant,
     hausmann_knutson_betti,
     odd_perimeter_point,
     oracle_is_zero,
     oracle_pairing,
+    presented,
     random_nonempty,
     reference_annihilator_generators,
     same_span,
@@ -62,10 +67,6 @@ def var(nvars: int, i: int) -> MultiPoly:
 
 def cls(poly: MultiPoly) -> CohomologyClass:
     return CohomologyClass(poly)
-
-
-def presented(sig, conv: Convention) -> MultiPoly:
-    return conv.apply(volume_polynomial(sig).v)
 
 
 # ------------------------------------------------------- ranks and Betti rows
@@ -167,8 +168,7 @@ def test_gorenstein_duality_sampled() -> None:
 
 def _monomial_betti(sig) -> tuple[int, ...]:
     # the expanded route: ranks of the integer Hankel catalecticants of v
-    pres = volume_polynomial(sig).presented(HOM)
-    return tuple(_rank(pres, d) for d in range(sig.n - 2))
+    return expanded_betti(sig, HOM)
 
 
 def test_walsh_betti_matches_the_monomial_route(graph5, graph6) -> None:
@@ -203,11 +203,11 @@ def test_walsh_kernels_match_the_hankel_kernels(graph5) -> None:
     sigs = [node.signature for node in graph5.nodes if not node.empty]
     sigs += [signature(random_nonempty(rng, n)) for n in (6, 6, 6, 7, 7)]
     for sig in sigs:
-        n, w, pres = sig.n, _walsh(sig), volume_polynomial(sig).presented(HOM)
+        n, w, v = sig.n, _walsh(sig), presented(sig, HOM)
         for d in range(n - 1):
-            domain, mat = _apolarity_matrix(pres, d)
-            assert tuple(domain) == _monomials(n, d)[0]
-            rows = _walsh_catalecticant(w, n, d, _monomials(n, d)[1])
+            domain, mat = expanded_catalecticant(v, d)
+            assert tuple(domain) == _monomials(n, d)[0] == _columns(n, d, HOM)[0]
+            rows = _catalecticant(w, n, d, _monomials(n, d)[1], HOM)
             assert sparse_kernel(rows, len(domain)) == sparse_kernel(mat, len(domain)), (sig, d)
 
 
@@ -494,6 +494,73 @@ def test_membership_and_pairing_match_apply_operator_n5(graph5) -> None:
     assert verdicts[True] > 3000 and verdicts[False] > 1000
 
 
+def test_lifted_route_matches_the_expanded_route(graph5) -> None:
+    # every affine answer comes from the homogeneous W and Hankel tables
+    # with the class lifted; the oracle expands v_aff instead, with
+    # catalecticant rows in every degree
+    rng = random.Random(1616)
+    sigs = [node.signature for node in graph5.nodes if not node.empty]
+    sigs += [signature(random_nonempty(rng, n)) for n in (6, 6, 7)]
+    for sig in sigs:
+        n, w = sig.n, _walsh(sig)
+        for conv in map(Convention.affine, range(1, n + 1)):
+            v_aff = presented(sig, conv)
+            for d in range(n - 1):
+                domain, columns = _columns(n, d, conv)
+                expected_domain, mat = expanded_catalecticant(v_aff, d)
+                assert list(domain) == expected_domain
+                kernel = sparse_kernel(_catalecticant(w, n, d, columns, conv), len(domain))
+                assert kernel == sparse_kernel(mat, len(domain)), (sig, conv, d)
+            assert betti_numbers(sig, conv) == expanded_betti(sig, conv), (sig, conv)
+            for c in _seeded_classes(rng, sig, conv, n - 1)[:: 3 if n == 5 else 1]:
+                assert is_zero_class(cls(c), sig, conv) == oracle_is_zero(c, sig, conv), (sig, conv, c)
+            for da in range(n - 2):
+                a, b = _random_class(rng, n - 1, da), _random_class(rng, n - 1, n - 3 - da)
+                assert poincare_pairing(cls(a), cls(b), sig, conv) == oracle_pairing(a, b, sig, conv)
+            for beta in monomial_exponents(n - 1, n - 3)[:: 1 if n == 5 else 7]:
+                j = conv.affine_index
+                alpha = MultiIndex(beta[: j - 1] + (0,) + beta[j - 1 :])
+                expected = v_aff.differentiate(beta).constant_value()
+                assert intersection_number(sig, alpha, conv) == expected, (sig, conv, alpha)
+
+
+def test_lift_is_the_chain_rule() -> None:
+    # Q(d)v_aff is L(Q)(d)v restricted to the slice, for any class Q
+    rng = random.Random(1617)
+    for n in (4, 5, 6):
+        for _ in range(3):
+            v = volume_polynomial(signature(random_nonempty(rng, n))).v
+            for conv in map(Convention.affine, range(1, n + 1)):
+                for d in range(n - 1):
+                    q = _random_class(rng, n - 1, d)
+                    lifted = conv.lift(q, n)
+                    assert lifted.nvars == n and lifted.is_homogeneous() and lifted.degree() == d
+                    assert conv.apply(lifted.apply_operator(v)) == q.apply_operator(conv.apply(v))
+    q = _random_class(rng, 5, 2)
+    assert HOM.lift(q, 5) is q
+    assert Convention.affine(2).lift(var(4, 1) * var(4, 3), 5) == (var(5, 1) - var(5, 2)) * (var(5, 4) - var(5, 2))
+    with pytest.raises(ValueError, match="affine index 6 exceeds n = 5"):
+        Convention.affine(6).lift(q, 5)
+    with pytest.raises(ValueError, match="class has 5 variables, convention expects 4"):
+        AFF5.lift(q, 5)
+    with pytest.raises(ValueError, match="class has 4 variables, convention expects 5"):
+        HOM.lift(var(4, 1), 5)
+
+
+def test_the_zero_class_pairs_to_zero(blowup_sig) -> None:
+    zero = cls(MultiPoly.zero(5))
+    for other in (var(5, 1) * var(5, 2), var(5, 1), var(5, 3) ** 7, MultiPoly.zero(5)):
+        assert poincare_pairing(zero, cls(other), blowup_sig, HOM) == 0
+        assert poincare_pairing(cls(other), zero, blowup_sig, HOM) == 0
+    assert poincare_pairing(cls(MultiPoly.zero(4)), cls(var(4, 1) ** 99), blowup_sig, AFF5) == 0
+    with pytest.raises(ValueError, match="affine index 6 exceeds n = 5"):
+        poincare_pairing(zero, cls(var(5, 1)), blowup_sig, Convention.affine(6))
+    with pytest.raises(ValueError, match="class has 5 variables, convention expects 4"):
+        poincare_pairing(zero, cls(var(4, 1)), blowup_sig, AFF5)
+    with pytest.raises(WrongTotalDegree, match=r"degrees 1\+2 != n-3 = 2"):
+        poincare_pairing(cls(var(5, 1)), cls(var(5, 1) * var(5, 2)), blowup_sig, HOM)
+
+
 def test_affine_membership_reads_every_degree() -> None:
     # under affine:1 this degree-2 class sends v to the constant 2: the
     # image has no top-degree term, so only its lower degrees show it
@@ -534,12 +601,14 @@ def test_hankel_tables_go_with_the_volume_cache(blowup_sig) -> None:
     before = answers()
     assert before == [True, False, True, -2, oracle_pairing(var(4, 3), var(4, 1), blowup_sig, AFF5)]
     vp = volume_polynomial(blowup_sig)
-    assert vp.presented(AFF5) is volume_polynomial(blowup_sig).presented(AFF5)
-    refs = [weakref.ref(vp), weakref.ref(vp.presented(HOM)), weakref.ref(vp.presented(AFF5))]
+    # one homogeneous table serves every convention, kept on the cached polynomial
+    assert vp.hankel is volume_polynomial(blowup_sig).hankel
+    assert vars(vp)["hankel"] is vp.hankel
+    refs = [weakref.ref(vp)]
     del vp
     volume_polynomial.cache_clear()
     gc.collect()
-    assert [ref() for ref in refs] == [None, None, None]
+    assert [ref() for ref in refs] == [None]
     assert answers() == before
 
 
@@ -555,9 +624,11 @@ def test_membership_and_pairing_errors(blowup_sig) -> None:
         poincare_pairing(cls(var(5, 1)), cls(var(5, 1)), blowup_sig, AFF5)
     with pytest.raises(WrongTotalDegree):
         poincare_pairing(cls(var(4, 1)), cls(var(4, 1) ** 2), blowup_sig, AFF5)
-    # a failed presentation leaves nothing behind: the error repeats
+    # the lift and the displayed presentation check the index the same way
     with pytest.raises(ValueError, match="affine index 6 exceeds n = 5"):
-        volume_polynomial(blowup_sig).presented(aff6)
+        aff6.lift(var(5, 1), 5)
+    with pytest.raises(ValueError, match="affine index 6 exceeds n = 5"):
+        aff6.apply(volume_polynomial(blowup_sig).v)
 
 
 def test_pd_bases_agree_observed(cp2_sig, blowup_sig) -> None:

@@ -139,6 +139,32 @@ def test_pairing_rejects_eliminated_variable() -> None:
     assert "variables are x1, x2, x3, x4" in err
 
 
+@pytest.mark.parametrize(
+    "j, message", [(0, "affine index must be 1-based, got 0"), (6, "affine index 6 exceeds n = 5")]
+)
+def test_affine_index_outside_the_sides_exits_4(j: int, message: str) -> None:
+    # the lift checks the index for betti, ring, intersect and pairing, and
+    # Convention.apply for the displayed volume polynomial
+    for argv in (
+        ["volume", "--r", BLOWUP],
+        ["intersect", "--r", BLOWUP, "--alpha", "0,0,2,0,0"],
+        ["betti", "--r", BLOWUP],
+        ["ring", "--r", BLOWUP],
+        ["pairing", "--r", BLOWUP, "--a", "x1", "--b", "x3"],
+    ):
+        assert invoke([*argv, "--convention", f"affine:{j}"]) == (4, "", f"error: {message}\n"), argv
+
+
+def test_the_zero_class_pairs_to_zero() -> None:
+    for conv in ("homogeneous", "affine:3"):
+        doc = invoke_json(["pairing", "--r", "1,2,3,5,8", "--a", "0", "--b", "x1*x2", "--convention", conv])
+        assert doc["a"] == {"text": "0", "records": []}
+        assert doc["pairing"] == "0/1"
+    assert invoke(["pairing", "--r", "1,2,3,5,8", "--a", "x3", "--b", "x1*x2"]) == (
+        4, "", "error: degrees 1+2 != n-3 = 2\n"
+    )
+
+
 def test_pd_class_document() -> None:
     doc = invoke_json(["pd-class", "--set", "1,3", "--r", CP2])
     assert doc["n"] == 5
