@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
-from typing import Sequence
+from typing import Callable, Sequence
 
 from polygonspace.chambers import ChamberSignature, IndexSet
 from polygonspace.ratpoly import (
@@ -90,6 +90,15 @@ def _odd_sets(n: int, j: int) -> tuple[int, ...]:
     return tuple(m for m in range(1 << n) if m.bit_count() <= j and (j - m.bit_count()) % 2 == 0)
 
 
+@lru_cache(maxsize=None)
+def _parity_columns(n: int, d: int) -> tuple[tuple[Exponents, ...], tuple[int, ...], Callable[[Exponents], int]]:
+    """The first degree-d monomial of each odd set (graded-lex), those odd sets, and e ↦ odd(e)."""
+    odd = dict(zip(*_monomials(n, d)))
+    first = {s: e for e, s in reversed(odd.items())}
+    columns = tuple(dict.fromkeys(odd.values()))
+    return tuple(first[s] for s in columns), columns, odd.__getitem__
+
+
 Fold = tuple[tuple[int, int], ...]
 
 
@@ -148,12 +157,12 @@ def catalecticant_rank(vp: VolumePolynomial, d: int, conv: Convention) -> int:
     """Rank of degree-d differentiation against the chamber polynomial.
 
     Equals the Betti number b_{2d} of M(r) for nonempty chambers; it is
-    read from the chamber's Walsh table.
+    read from the Walsh table the polynomial was built from.
     """
     n = vp.chamber.n
     if not 0 <= d <= n - 3:
         raise DegreeOutOfRange(f"degree {d} outside 0..{n - 3}")
-    return _betti(_walsh(vp.chamber), n, d, conv)
+    return _betti(vp.walsh, n, d, conv)
 
 
 def betti_numbers(sig: ChamberSignature, conv: Convention) -> tuple[int, ...]:
@@ -176,23 +185,25 @@ def _reduce_modulo(
     kernel: list[dict[Exponents, Fraction]],
     prev_kernel: list[dict[Exponents, Fraction]],
     nvars: int,
+    column: Callable[[Exponents], object],
 ) -> list[int]:
     """Positions k of the basis vectors g_k of K_d that are new generators.
 
     g_k is new when it lies outside the span of xᵢ·K_{d−1} and g₀..g_{k−1}.
     All of these lie in K_d (Ann is an ideal), whose members are written in
     the coordinates of its canonical basis: their coefficients at the free
-    monomials, where g_k is the unit vector e_k.  e_k lies in
+    columns, where g_k is the unit vector e_k.  e_k lies in
     span(xᵢ·K_{d−1}) + span(e₀..e_{k−1}) exactly when some vector of the
     first span has its last nonzero coordinate at k, so the new positions
     are those at which no row of an echelon form of the xᵢ·g ends, in
-    whatever order the rows are taken.  Each g is scaled to integers once
-    and its products are read off those integers.  A product whose last
-    position is free enters as it is; the others are eliminated
-    fraction-free with their content divided out, until the rank reaches
-    dim K_d.
+    whatever order the rows are taken.  `column` keys a degree-d monomial:
+    itself, or its odd set on odd-set columns, where products on one key
+    are summed.  Each g is scaled to integers once and its products are
+    read off those integers.  A product whose last position is free enters
+    as it is; the others are eliminated fraction-free with their content
+    divided out, until the rank reaches dim K_d.
     """
-    position = {next(reversed(g)): k for k, g in enumerate(kernel)}
+    position = {column(next(reversed(g))): k for k, g in enumerate(kernel)}
     shifts: dict[Exponents, list[tuple[int, int]]] = {}  # x^e -> (i, position of xᵢ·x^e)
     echelon: dict[int, dict[int, int]] = {}  # last position -> row ending there
     deferred = []
@@ -200,12 +211,13 @@ def _reduce_modulo(
         rows: list[dict[int, int]] = [{} for _ in range(nvars)]
         for e, c in zip(g, _scaled(list(g.values()))[0]):
             if e not in shifts:
-                shifted = (position.get(e[:i] + (e[i] + 1,) + e[i + 1 :]) for i in range(nvars))
+                shifted = (position.get(column(e[:i] + (e[i] + 1,) + e[i + 1 :])) for i in range(nvars))
                 shifts[e] = [(i, k) for i, k in enumerate(shifted) if k is not None]
             for i, k in shifts[e]:
-                rows[i][k] = c
-        for row in filter(None, rows):
-            if echelon.setdefault(max(row), row) is not row:  # last position taken
+                rows[i][k] = rows[i].get(k, 0) + c
+        for row in rows:
+            row = {k: c for k, c in row.items() if c}
+            if row and echelon.setdefault(max(row), row) is not row:  # last position taken
                 deferred.append(row)
     for row in deferred:
         if len(echelon) == len(kernel):
@@ -231,13 +243,12 @@ def annihilator_generators(
 ) -> tuple[tuple[int, tuple[MultiPoly, ...]], ...]:
     """Minimal generators of Ann(v) per degree d = 1..n−2.
 
-    In each degree the full kernel K_d is reduced modulo the span of
-    xᵢ·K_{d−1} (products of lower-degree annihilators), keeping only new
-    generators; in degree n−2 every monomial annihilates, so the reduction
-    is against the whole of x·K_{n−3}.  Output is deterministic: kernels are
-    canonical reduced echelon bases in graded-lex coordinates, and a kernel
-    vector is kept when it extends the span of those products and of the
-    kernel vectors before it.
+    In each degree the kernel K_d is reduced modulo the span of xᵢ·K_{d−1}
+    (products of lower-degree annihilators), keeping only new generators;
+    see `presentation` for the odd-set columns and degree n−2.  Output is
+    deterministic: kernels are canonical reduced echelon bases in graded-lex
+    coordinates, and a kernel vector is kept when it extends the span of
+    those products and of the kernel vectors before it.
     """
     return presentation(sig, conv).ann_generators
 
@@ -345,28 +356,44 @@ def presentation(sig: ChamberSignature, conv: Convention) -> ApolarPresentation:
 
     Each degree's catalecticant is built once and gives both: its rank is
     the Betti number, and its kernel K_d the degree-d annihilator, in a
-    canonical basis whose vectors each end at their free monomial with
+    canonical basis whose vectors each end at their free column with
     coefficient 1.  The ranks of degrees 0..n−3 are the Betti numbers.  In
     each degree d = 1..n−2 the kernel K_d is reduced modulo the span of
     xᵢ·K_{d−1} (K_0 is empty for a nonempty chamber).  Catalecticants are
     read from W, one row per odd set (see `_columns`).
+
+    Homogeneous degrees d ≥ 3 keep one column per odd set, its first
+    monomial.  Every ε_I has coefficients ±1, so J = (xᵢ² − xⱼ²) ⊆ Ann(v)
+    and monomials with one odd set have equal columns.  A duplicate column
+    is never a pivot, so the kept columns have the full matrix's kernel
+    vectors, and a dropped one is ≡ a kept one or 0 modulo J_d ⊆ xᵢ·K_{d−1}
+    (d ≥ 3): it is never new, and the kept ones reduce in ℚ[x]_d/J_d, whose
+    basis is the odd sets.  J₂ ⊄ xᵢ·K₁, so d ≤ 2 keeps monomial columns.
+
+    Degree n − 2 is skipped when homogeneous and b₂ ≥ 2, since then the
+    xᵢ·K_s span ℚ[x]_{s+1}, s = n − 3 (Macaulay duality; Iarrobino–Kanev,
+    LNM 1721): a functional vanishing on them is an F with ∂ᵢF = λᵢ·v, so
+    λᵢ∂ⱼv = λⱼ∂ᵢv and either F = 0 or v = c·(Σλᵢxᵢ)^s, when b₂ =
+    dim span{∂ᵢv} = 1.  The affine conventions keep that degree.
     """
     if sig.is_empty():
         raise EmptyChamber(f"no cohomology: {sig} has a long singleton")
-    n, w, nvars = sig.n, _walsh(sig), conv.nvars(sig.n)
-    ranks, kernels = [], []
+    n, w, nvars, hom = sig.n, _walsh(sig), conv.nvars(sig.n), conv.is_homogeneous
+    ranks, generators, prev = [], [], []
     for d in range(n - 1):
-        domain, columns = _columns(n, d, conv)
+        if d == n - 2 >= 2 and hom and ranks[1] >= 2:
+            generators.append((d, ()))
+            break
+        if hom and d >= 3:
+            domain, columns, key = _parity_columns(n, d)
+        else:
+            (domain, columns), key = _columns(n, d, conv), (lambda e: e)
         rank, kernel = sparse_kernel(_catalecticant(w, n, d, columns, conv), ncols=len(domain))
         ranks.append(rank)
-        kernels.append([{domain[col]: c for col, c in vec.items()} for vec in kernel])
-    generators = tuple(
-        (d, tuple(
-            MultiPoly._from_terms(nvars, kernels[d][k])
-            for k in _reduce_modulo(kernels[d], kernels[d - 1], nvars)
-        ))
-        for d in range(1, n - 1)
-    )
+        kernel = [{domain[col]: c for col, c in vec.items()} for vec in kernel]
+        new = _reduce_modulo(kernel, prev, nvars, key)
+        generators.append((d, tuple(MultiPoly._from_terms(nvars, kernel[k]) for k in new)))
+        prev = kernel
     return ApolarPresentation(
-        chamber=sig, convention=conv, betti=tuple(ranks[:-1]), ann_generators=generators
+        chamber=sig, convention=conv, betti=tuple(ranks[: n - 2]), ann_generators=tuple(generators[1:])
     )

@@ -18,6 +18,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence, TextIO
 
 from polygonspace.apolar import (
@@ -166,9 +167,30 @@ def _render(value: object, key: str, indent: int, lines: list[str]) -> None:
         lines.append(f"{pad}{key}: {_fmt_scalar(value)}")
 
 
+def _json(value: object, pad: str, parts: list[str]) -> None:
+    """Append value as json.dumps(value, indent=2) writes it at indent pad."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif type(value) is int:
+        parts.append(int.__repr__(value))
+    elif isinstance(value, (dict, list, tuple)):
+        is_dict, inner = isinstance(value, dict), pad + "  "
+        parts.append("{" if is_dict else "[")
+        for k, item in enumerate(value.items() if is_dict else value):
+            parts.append(",\n" + inner if k else "\n" + inner)
+            if is_dict:
+                key, item = item
+                parts += (encode_basestring_ascii(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4], ": ")
+            _json(item, inner, parts)
+        parts.append(("\n" + pad if value else "") + ("}" if is_dict else "]"))
+    else:  # None, bools, floats as json writes them; json raises the TypeError of any other type
+        parts.append(json.dumps(value))
+
+
 def _emit(doc: dict[str, object], fmt: str, out: TextIO) -> None:
     if fmt == "json":
-        out.write(json.dumps(doc, indent=2) + "\n")
+        _json(doc, "", parts := [])
+        out.write("".join(parts) + "\n")
         return
     lines: list[str] = []
     for k, v in doc.items():

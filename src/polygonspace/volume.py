@@ -16,7 +16,7 @@ an affine convention is a change of variables on classes (`Convention.lift`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -146,11 +146,13 @@ class VolumePolynomial:
     """The chamber's volume polynomial, homogeneous of degree n−3 in r₁..rₙ.
 
     The true volume is (2π)^(n−3) times v; identically zero on empty
-    chambers.
+    chambers.  `walsh` is the chamber's Walsh table W that v was built from
+    (see `volume_polynomial`), kept for the catalecticants read from it.
     """
 
     chamber: ChamberSignature
     v: MultiPoly
+    walsh: list[int] = field(repr=False, compare=False)
     scale_note: str = SCALE_NOTE
 
     @cached_property
@@ -226,7 +228,7 @@ def volume_polynomial(sig: ChamberSignature) -> VolumePolynomial:
         total = w[odd]
         if total:
             terms[e] = Fraction(sign * total, 2 * math.prod(factorials[k] for k in e))
-    return VolumePolynomial(sig, MultiPoly._from_terms(n, terms))
+    return VolumePolynomial(sig, MultiPoly._from_terms(n, terms), w)
 
 
 def volume_value(r: LengthVector) -> Fraction:

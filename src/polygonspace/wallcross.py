@@ -20,7 +20,7 @@ from functools import lru_cache
 from polygonspace.apolar import (
     CohomologyClass,
     EmptyChamber,
-    betti_numbers,
+    catalecticant_rank,
     is_zero_class,
     normal_bundle_chern,
     pd_class,
@@ -221,7 +221,8 @@ def validate_chamber(
         raise EmptyChamber(f"cannot validate the empty space: {sig}")
     if rep is None:
         rep = representative(sig)
-    betti_a = betti_numbers(sig, Convention.homogeneous())
+    vp = volume_polynomial(sig)  # its Walsh table gives the apolar Betti numbers
+    betti_a = tuple(catalecticant_rank(vp, d, Convention.homogeneous()) for d in range(sig.n - 2))
     betti_p = betti_via_path(rep)
     checks = [(I, _jump_agrees(sig, sig.flip(I), I.mask))
               for I in (short.complement for short in sig.maximal_shorts)]

@@ -7,7 +7,7 @@ from collections import deque
 from functools import lru_cache
 from itertools import permutations
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import add
 from typing import Sequence
 
@@ -29,7 +29,7 @@ from polygonspace.chambers import (
     segment_crossings,
     signature,
 )
-from polygonspace.ratpoly import Exponents, MultiPoly, matrix_rank, monomial_exponents
+from polygonspace.ratpoly import Exponents, MultiPoly, matrix_rank, monomial_exponents, sparse_kernel
 from polygonspace.volume import Convention, volume_polynomial
 from polygonspace.wallcross import betti_delta
 
@@ -479,3 +479,82 @@ def expanded_betti(sig: ChamberSignature, conv: Convention) -> tuple[int, ...]:
     hankel = hankel_table(poly)[0]
     matrices = (expanded_catalecticant(poly, d, hankel) for d in range(sig.n - 2))
     return tuple(matrix_rank(rows, ncols=len(domain)) for domain, rows in matrices)
+
+
+# -- the monomial-column presentation: kernels and the generator reduction on
+# every degree-d monomial, with nothing reduced modulo (x_i^2 - x_j^2) and
+# degree n-2 reduced in every chamber.  It reads only the expanded
+# polynomial and ``sparse_kernel``.
+
+
+def _monomial_reduce_modulo(
+    kernel: list[dict[Exponents, Fraction]], prev_kernel: list[dict[Exponents, Fraction]], nvars: int
+) -> list[int]:
+    """Positions of the kernel vectors outside the span of the x_i*g, g in
+    prev_kernel, and of the kernel vectors before them.
+
+    Everything lies in the kernel, so it is written in the coordinates of
+    its canonical basis (the free monomials); a position is new exactly when
+    no row of an echelon form of the products ends there.  Products whose
+    last position is still free enter first; the rest are eliminated on
+    integers until the echelon form is full.
+    """
+    position = {next(reversed(g)): k for k, g in enumerate(kernel)}
+    shifted = {
+        e: [position.get(e[:i] + (e[i] + 1,) + e[i + 1:]) for i in range(nvars)]
+        for e in {e for g in prev_kernel for e in g}
+    }
+    echelon: dict[int, dict[int, int]] = {}
+    deferred = []
+    for g in prev_kernel:
+        scale = lcm(*(c.denominator for c in g.values()))
+        rows: list[dict[int, int]] = [{} for _ in range(nvars)]
+        for e, c in g.items():
+            for row, k in zip(rows, shifted[e]):
+                if k is not None:
+                    row[k] = c.numerator * (scale // c.denominator)
+        for row in filter(None, rows):
+            if echelon.setdefault(max(row), row) is not row:
+                deferred.append(row)
+    for row in deferred:
+        if len(echelon) == len(kernel):
+            break
+        while row:
+            last = max(row)
+            base = echelon.get(last)
+            if base is None:
+                echelon[last] = row
+                break
+            a, b = base[last], row[last]
+            row = {k: v for k in row.keys() | base.keys() if (v := a * row.get(k, 0) - b * base.get(k, 0))}
+            common = gcd(*row.values()) if row else 1
+            row = {k: v // common for k, v in row.items()}
+    return [k for k in range(len(kernel)) if k not in echelon]
+
+
+@lru_cache(maxsize=None)
+def oracle_presentation(
+    sig: ChamberSignature, conv: Convention
+) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[MultiPoly, ...]], ...]]:
+    """(Betti numbers, minimal annihilator generators per degree 1..n-2) on
+    monomial columns in every degree.
+
+    Catalecticants come from the Hankel table of the presented polynomial,
+    one row per distinct row; in each degree the kernel K_d is reduced
+    modulo the span of x_i*K_{d-1}, degree n-2 included.  Oracle for
+    apolar.presentation.
+    """
+    poly = presented(sig, conv)
+    hankel = hankel_table(poly)[0]
+    betti, kernels = [], []
+    for d in range(sig.n - 1):
+        domain, rows = expanded_catalecticant(poly, d, hankel)
+        rank, kernel = sparse_kernel(list(dict.fromkeys(map(tuple, rows))), len(domain))
+        betti.append(rank)
+        kernels.append([{domain[col]: c for col, c in vec.items()} for vec in kernel])
+    generators = tuple(
+        (d, tuple(MultiPoly._from_terms(poly.nvars, kernels[d][k])
+                  for k in _monomial_reduce_modulo(kernels[d], kernels[d - 1], poly.nvars)))
+        for d in range(1, sig.n - 1)
+    )
+    return tuple(betti[:-1]), generators

@@ -45,6 +45,7 @@ from conftest import (
     expanded_catalecticant,
     hausmann_knutson_betti,
     odd_perimeter_point,
+    oracle_presentation,
     oracle_is_zero,
     oracle_pairing,
     presented,
@@ -343,6 +344,37 @@ def test_generators_match_dense_reference(graph5) -> None:
         assert annihilator_generators(sig, conv) == reference_annihilator_generators(
             sig, conv
         )
+
+
+def test_presentation_matches_the_monomial_columns(graph5, graph6) -> None:
+    # homogeneous degrees >= 3 are reduced on odd-set columns modulo
+    # (x_i^2 - x_j^2), and degree n-2 is skipped when b2 >= 2; the oracle
+    # keeps every monomial column and reduces every degree
+    rng = random.Random(1717)
+    cases = [(node.signature, HOM) for g in (graph5, graph6) for node in g.nodes if not node.empty]
+    cases += [(signature(random_nonempty(rng, n)), conv) for n in (7, 7, 8) for conv in (HOM, Convention.affine(2))]
+    assert len(cases) == 76 + 1678 + 6
+    for sig, conv in cases:
+        pres = presentation(sig, conv)
+        assert (pres.betti, pres.ann_generators) == oracle_presentation(sig, conv), (sig, conv)
+
+
+def test_degree_n_minus_2_is_new_only_when_b2_is_one(graph4, graph5, graph6) -> None:
+    # the x_i*K_{n-3} span every monomial of degree n-2 unless v is a power
+    # of one linear form, that is unless b2 = 1: the external chambers, and
+    # every chamber at n = 4.  Read off the oracle, which reduces that degree
+    # in every chamber.
+    seen = Counter()
+    for graph in (graph4, graph5, graph6):
+        for node in graph.nodes:
+            if node.empty:
+                continue
+            betti, generators = oracle_presentation(node.signature, HOM)
+            top = dict(generators)[graph.n - 2]
+            assert len(top) == (betti[1] == 1), node.signature
+            assert (betti[1] == 1) == (node.external or graph.n == 4), node.signature
+            seen[graph.n, betti[1] == 1] += 1
+    assert seen == {(4, True): 8, (5, True): 5, (5, False): 71, (6, True): 6, (6, False): 1672}
 
 
 def test_presentation_bundles_everything(blowup_sig) -> None:

@@ -354,6 +354,46 @@ def test_ring_documents_are_byte_stable(argv: list[str], digest: str) -> None:
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+WRITER_ARGVS = (
+    ["analyze", "--r", CP2],
+    ["volume", "--r", BLOWUP, "--decimal", "3"],
+    ["intersect", "--r", CP2, "--alpha", "0,0,2,0,0", "--convention", "affine:5"],
+    ["betti", "--r", BLOWUP, "--method", "both"],
+    ["ring", "--r", BLOWUP, "--convention", "affine:5"],
+    ["pairing", "--r", CP2, "--a", "x3", "--b", "x3"],
+    ["pd-class", "--set", "1,3", "--r", CP2],
+    ["wallcross", "--from", CP2, "--to", BLOWUP],
+    ["chambers", "--n", "4"],
+    ["chambers", "--n", "4", "--counts-only"],
+    ["validate", "--n", "4", "--full"],
+    ["validate", "--r", BLOWUP],
+)
+
+
+def test_json_writer_is_json_dumps(monkeypatch) -> None:
+    # the one-pass writer must print what json.dumps(doc, indent=2) prints,
+    # on the document of every subcommand and on the corner cases of json
+    docs = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda doc, fmt, out: docs.append(doc) or emit(doc, fmt, out))
+    for argv in WRITER_ARGVS:
+        assert invoke(argv)[0] == 0, argv
+    assert [doc for doc in docs if not doc] == []
+    assert len(docs) == len(WRITER_ARGVS) and len({argv[0] for argv in WRITER_ARGVS}) == 10
+    docs += [{}, {"a": [], "b": {}, "c": [[], {}, [[]], {"d": {}}]}, {"é": "ü☃\n\"\\", "k": [None, True, False, 1.5]},
+             {1: "int key", None: 0, 2.5: (1, 2)}]
+    for doc in docs:
+        out = io.StringIO()
+        emit(doc, "json", out)
+        assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+    for bad in ({"a": {1, 2}}, {"a": [Fraction(1, 2)]}, {(1, 2): 0}):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError) as raised:
+            emit(bad, "json", io.StringIO())
+        assert str(raised.value) == str(expected.value)
+
+
 # ---------------------------------------------------------------- exit codes
 
 

@@ -56,19 +56,20 @@ SHORT_REPEATS = 5  # processes per side and pair for a sub-second case
 REFERENCE_AROUND = 3  # reference loops right before and right after each case
 # End-to-end commands timed outside the workloads, as CLI processes, with
 # the number of processes per side and pair: the census and the validation
-# at n = 6, single-point ring and betti at n = 7, 8, 9 (and betti at n = 10),
+# at n = 6, single-point ring and betti at n = 7, 8, 9 (and both at n = 10),
 # ring at n = 8 and betti at n = 9 under affine:1, and the wall-crossing
 # betti at n = 16 on nearly equal lengths, which take 0.1-1 s each.
 CLI = ["-m", "polygonspace.cli"]
 POINTS = {7: "83,39,102,167,13,19,138", 8: "94,150,15,130,55,10,23,112",
-          9: "150,15,130,55,10,23,112,108,18"}
+          9: "150,15,130,55,10,23,112,108,18", 10: "150,15,130,55,10,23,112,108,18,78"}
 CASES = {
     "chambers_n6_counts_only_s": ([*CLI, "chambers", "--n", "6", "--counts-only"], 1),
     "validate_n6_s": ([*CLI, "validate", "--n", "6"], 1),
-    **{f"ring_n{n}_s": ([*CLI, "ring", "--r", r], SHORT_REPEATS) for n, r in POINTS.items()},
-    **{f"betti_apolar_n{n}_s": ([*CLI, "betti", "--r", r, "--method", "apolar"], SHORT_REPEATS)
-       for n, r in POINTS.items()},
-    "betti_apolar_n10_s": ([*CLI, "betti", "--r", "150,15,130,55,10,23,112,108,18,78", "--method", "apolar"], 1),
+    **{f"ring_n{n}_s": ([*CLI, "ring", "--r", POINTS[n]], SHORT_REPEATS) for n in (7, 8, 9)},
+    **{f"betti_apolar_n{n}_s": ([*CLI, "betti", "--r", POINTS[n], "--method", "apolar"], SHORT_REPEATS)
+       for n in (7, 8, 9)},
+    "betti_apolar_n10_s": ([*CLI, "betti", "--r", POINTS[10], "--method", "apolar"], 1),
+    "ring_n10_s": ([*CLI, "ring", "--r", POINTS[10]], 1),
     "ring_affine_n8_s": ([*CLI, "ring", "--r", POINTS[8], "--convention", "affine:1"], SHORT_REPEATS),
     "betti_affine_n9_s": ([*CLI, "betti", "--r", POINTS[9], "--method", "apolar", "--convention", "affine:1"],
                           SHORT_REPEATS),
