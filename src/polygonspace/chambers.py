@@ -710,9 +710,9 @@ def enumerate_chambers(n: int, max_nodes: int | None = None) -> ChamberGraph:
     crossings would end in DegenerateWall; complete targets still may.
     """
     reps, found = _walk(n, max_nodes)
-    ordered = sorted(
-        ((ChamberSignature(n, s), rep) for s, rep in reps.items()), key=lambda item: item[0].sort_key()
-    )
+    rank = _ranks(n)  # sorted ranks of the maximal short sets order as sort_key() does
+    ordered = sorted(((ChamberSignature(n, s), rep) for s, rep in reps.items()),
+                     key=lambda item: sorted(rank[m] for m in _members(_maximal(n, item[0].shorts))))
     index_of = {sig.shorts: i for i, (sig, _) in enumerate(ordered)}
     nodes = tuple(
         ChamberNode(sig, LengthVector(tuple(Fraction(x, den) for x in scaled)),

@@ -173,6 +173,11 @@ def _json(value: object, pad: str, parts: list[str]) -> None:
         parts.append(encode_basestring_ascii(value))
     elif type(value) is int:
         parts.append(int.__repr__(value))
+    elif value is None or type(value) is bool:
+        parts.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, (list, tuple)) and value and all(type(x) is int or type(x) is str for x in value):
+        items = [int.__repr__(x) if type(x) is int else encode_basestring_ascii(x) for x in value]
+        parts.append(f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]")
     elif isinstance(value, (dict, list, tuple)):
         is_dict, inner = isinstance(value, dict), pad + "  "
         parts.append("{" if is_dict else "[")
@@ -183,7 +188,7 @@ def _json(value: object, pad: str, parts: list[str]) -> None:
                 parts += (encode_basestring_ascii(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4], ": ")
             _json(item, inner, parts)
         parts.append(("\n" + pad if value else "") + ("}" if is_dict else "]"))
-    else:  # None, bools, floats as json writes them; json raises the TypeError of any other type
+    else:  # floats as json writes them; json raises the TypeError of any other type
         parts.append(json.dumps(value))
 
 

@@ -1,13 +1,19 @@
 """Exact rational linear programming for small dense problems.
 
-Two-phase primal simplex over arbitrary-precision integers: every tableau
-row and the cost row of both phases is a primitive integer vector (content
-divided out after each pivot), so no rational arithmetic happens between
-the scaled input rows and the final vertex.  The entering rule is Dantzig's
+Two-phase primal simplex over arbitrary-precision integers on the condensed
+(Tucker) tableau: a row holds its nonbasic entries, then its basic
+coefficient, then its right side.  A basic column is zero off its own row
+and, once priced out, in the cost row, so a row loses no entry of its
+content.  Input rows are scaled to integers, not divided by their content;
+each pivot divides by its content every row it changes, the pivot row and
+the cost row among them, and dropping the artificial columns after phase
+one renormalises nothing.  So no rational arithmetic happens between the
+scaled input rows and the final vertex.  The entering rule is Dantzig's
 (most negative reduced cost) until a run of degenerate pivots suggests
-cycling, after which it permanently switches to Bland's rule, which
-guarantees termination.  Intended for the tiny systems that arise when
-locating chamber points; no sparsity, no large-scale ambitions.
+cycling, then, for good, Bland's rule, which guarantees termination.  Both
+rules and the ratio test break ties by original column index, so the
+pivots are the full tableau's.  Intended for the tiny systems that arise
+when locating chamber points; no sparsity, no large-scale ambitions.
 """
 
 from __future__ import annotations
@@ -33,119 +39,110 @@ def maximize(
     ``(value, x)`` at an optimal vertex, or ``None`` when the constraints are
     infeasible.  Raises ``ValueError`` if the objective is unbounded above.
     """
-    nvars = len(objective)
-    neq, nge = len(eq_rows), len(ge_rows)
-    width = nvars + nge  # structural + slack columns; artificials appended later
+    nvars, neq, nge = len(objective), len(eq_rows), len(ge_rows)
+    width = nvars + nge  # structural + slack columns; artificials are numbered from width
     if any(len(coeffs) != nvars for coeffs, _ in (*eq_rows, *ge_rows)):
         raise ValueError("constraint width does not match the objective")
-    # Each row is scaled to integers, its slack column (-1 on a >= row) with it.
-    rows: list[list[int]] = []
-    for k, (coeffs, rhs) in enumerate((*eq_rows, *ge_rows)):
-        scaled, den = _scaled([*coeffs, rhs])
-        slack = [0] * nge
-        if k >= neq:
-            slack[k - neq] = -den
-        rows.append(scaled[:-1] + slack + scaled[-1:])
-    for row in rows:
-        if row[-1] < 0:
-            for j in range(len(row)):
-                row[j] = -row[j]
-
-    # Initial basis: the slack column of a >= row (a unit column; a negative
-    # coefficient is fixed by flipping the row, legal only when the right
-    # side is zero), an artificial column otherwise.
+    # Each row is scaled to integers by its den, its slack column (-den on a
+    # >= row) with it.  A >= row with right side <= 0 starts on its slack
+    # column, the row negated so that the coefficient is den > 0.  Any other
+    # row starts on an artificial column (coefficient 1), negated if its right
+    # side is negative, and its slack column, if any, is nonbasic.  cols[s] is
+    # the original column of slot s.
+    scaled = [_scaled([*coeffs, rhs]) for coeffs, rhs in (*eq_rows, *ge_rows)]
     basis: list[int] = []
     artificial: list[int] = []
-    for r, row in enumerate(rows):
-        col = nvars + r - neq
-        if r >= neq and (row[col] > 0 or row[-1] == 0):
-            if row[col] < 0:
-                for j in range(len(row)):
-                    row[j] = -row[j]
-            basis.append(col)
+    cols = list(range(nvars))
+    for r, (row, _) in enumerate(scaled):
+        if r >= neq and row[-1] <= 0:
+            basis.append(nvars + r - neq)
             continue
-        basis.append(-1)
+        basis.append(width + len(artificial))
         artificial.append(r)
-    total_width = width + len(artificial)
-    for row in rows:
-        row[-1:-1] = [0] * len(artificial)
-    for k, r in enumerate(artificial):
-        rows[r][width + k] = 1
-        basis[r] = width + k
+        if r >= neq:
+            cols.append(nvars + r - neq)
+    tab: list[list[int]] = []
+    for r, (row, den) in enumerate(scaled):
+        sign = -1 if basis[r] < width or row[-1] < 0 else 1
+        tab.append([sign * v for v in row[:-1]] + [-den * (j == nvars + r - neq) for j in cols[nvars:]]
+                   + [den if basis[r] < width else 1, sign * row[-1]])
 
     if artificial:
         # Phase one minimizes the sum of the artificials; priced out against
         # their rows (basic coefficient 1) the reduced costs are integers.
-        cost = [0] * (total_width + 1)
-        for r in artificial:
-            cost = [c - v for c, v in zip(cost, rows[r])]
-        for k in range(len(artificial)):
-            cost[width + k] += 1
-        _pivot_to_optimum(rows, cost, basis)
-        if any(row[-1] != 0 for r, row in enumerate(rows) if basis[r] >= width):
+        cost = [-sum(entries) for entries in zip(*(tab[r] for r in artificial))]
+        cost[-2] = 0
+        tab.append(cost)
+        _pivot_to_optimum(tab, basis, cols)
+        tab.pop()
+        if any(row[-1] != 0 for r, row in enumerate(tab) if basis[r] >= width):
             return None
-        # Drive leftover artificials out of the basis; an all-zero row is
-        # redundant and dropped.
+        # Drive leftover artificials out of the basis on the first nonzero
+        # original column; an all-zero row is redundant and dropped.
         keep: list[int] = []
-        for r in range(len(rows)):
-            if basis[r] < width:
-                keep.append(r)
-                continue
-            col = next((j for j in range(width) if rows[r][j] != 0), None)
-            if col is None:
-                continue
-            _pivot(rows, None, basis, r, col)
+        for r in range(len(tab)):
+            if basis[r] >= width:
+                slot = min((s for s, j in enumerate(cols) if j < width and tab[r][s] != 0),
+                           key=cols.__getitem__, default=None)
+                if slot is None:
+                    continue
+                _pivot(tab, basis, cols, r, slot)
             keep.append(r)
-        rows = [rows[r][:width] + rows[r][-1:] for r in keep]
+        slots = [s for s, j in enumerate(cols) if j < width]
+        tab = [[tab[r][s] for s in slots] + tab[r][-2:] for r in keep]
+        cols = [cols[s] for s in slots]
         basis = [basis[r] for r in keep]
 
-    # basic entries d > 0: d·cost − factor·row is a positive multiple of cost − factor·row/d
+    # basic entries d > 0: d·cost − factor·row is a positive multiple of
+    # cost − factor·row/d; priced at full width, as the basic columns of the
+    # later rows count towards the content until they are priced out
     cost = _scaled([-c for c in objective])[0] + [0] * (nge + 1)
-    for r, row in enumerate(rows):
-        factor, d = cost[basis[r]], row[basis[r]]
+    for r, row in enumerate(tab):
+        factor, d = cost[basis[r]], row[-2]
         if factor:
-            cost = _primitive([c * d - factor * v for c, v in zip(cost, row)])
-    _pivot_to_optimum(rows, cost, basis)
+            dense = [0] * width + row[-1:]
+            for j, v in zip((*cols, basis[r]), row):
+                dense[j] = v
+            cost = _primitive([c * d - factor * v for c, v in zip(cost, dense)])
+    tab.append([cost[j] for j in cols] + [0, cost[-1]])
+    _pivot_to_optimum(tab, basis, cols)
 
     point = [Fraction(0)] * nvars
     for r, b in enumerate(basis):
         if b < nvars:
-            point[b] = Fraction(rows[r][-1], rows[r][b])
+            point[b] = Fraction(tab[r][-1], tab[r][-2])
     value = sum((Fraction(c) * x for c, x in zip(objective, point)), Fraction(0))
     return value, tuple(point)
 
 
-def _pivot_to_optimum(
-    rows: list[list[int]], cost: list[int], basis: list[int]
-) -> None:
-    """Pivot until no reduced cost is negative (minimization form).
+def _pivot_to_optimum(tab: list[list[int]], basis: list[int], cols: list[int]) -> None:
+    """Pivot until no reduced cost in the last row is negative (minimization form).
 
-    Every row keeps a positive coefficient in its basic column, so the ratio
-    test needs only rows with a positive entry in the entering column.
+    Every row keeps a positive basic coefficient, so the ratio test needs
+    only rows with a positive entry in the entering column.
     """
-    ncols = len(cost) - 1
-    bland = False
-    stall = 0
+    nslots = len(cols)
+    bland, stall = False, 0
     while True:
+        cost = tab[-1][:nslots]
         if bland:
-            enter = next((j for j in range(ncols) if cost[j] < 0), None)
+            ties = [s for s, c in enumerate(cost) if c < 0]
         else:
-            best = min(cost[:ncols])  # Dantzig: the first most negative
-            enter = cost.index(best) if best < 0 else None
-        if enter is None:
+            best = min(cost, default=0)  # Dantzig: the most negative
+            ties = [s for s, c in enumerate(cost) if c == best < 0]
+        if not ties:
             return
+        enter = min(ties, key=cols.__getitem__)
         leave = None
         best_num = best_den = 0  # running minimum ratio rhs/entry
-        for r, row in enumerate(rows):
+        for r in range(len(basis)):
+            row = tab[r]
             entry = row[enter]
             if entry <= 0:
                 continue
             num, den = row[-1], entry
-            if (
-                leave is None
-                or num * best_den < best_num * den
-                or (num * best_den == best_num * den and basis[r] < basis[leave])
-            ):
+            if leave is None or num * best_den < best_num * den or (
+                    num * best_den == best_num * den and basis[r] < basis[leave]):
                 best_num, best_den = num, den
                 leave = r
         if leave is None:
@@ -156,28 +153,28 @@ def _pivot_to_optimum(
                 bland = True
         else:
             stall = 0
-        _pivot(rows, cost, basis, leave, enter)
+        _pivot(tab, basis, cols, leave, enter)
 
 
-def _pivot(
-    rows: list[list[int]],
-    cost: list[int] | None,
-    basis: list[int],
-    r: int,
-    j: int,
-) -> None:
-    pivot_row = rows[r]
-    piv = pivot_row[j]
+def _pivot(tab: list[list[int]], basis: list[int], cols: list[int], r: int, s: int) -> None:
+    """Exchange the basic column of row r with the nonbasic column of slot s.
+
+    Every other row of tab (the cost row too, when there is one) is
+    eliminated in that column; the leaving column takes over slot s.
+    """
+    pivot_row = tab[r]
+    piv = pivot_row[s]
     if piv < 0:
-        pivot_row[:] = [-v for v in pivot_row]
-        piv = -piv
-    for i, other in enumerate(rows):
-        if other is pivot_row or other[j] == 0:
-            continue
-        f = other[j]
-        rows[i] = _primitive([a * piv - b * f for a, b in zip(other, pivot_row)])
-    if cost is not None and cost[j] != 0:
-        f = cost[j]
-        cost[:] = _primitive([a * piv - b * f for a, b in zip(cost, pivot_row)])
-    rows[r] = _primitive(pivot_row)
-    basis[r] = j
+        pivot_row, piv = [-v for v in pivot_row], -piv
+    d = pivot_row[-2]
+    # other·piv − elim·f puts −d·f, the leaving column, in slot s and keeps
+    # piv times the basic coefficient
+    elim = pivot_row[:]
+    elim[s], elim[-2] = piv + d, 0
+    for i, other in enumerate(tab):
+        f = other[s]
+        if f and i != r:
+            tab[i] = _primitive([a * piv - b * f for a, b in zip(other, elim)])
+    pivot_row[s], pivot_row[-2] = d, piv
+    tab[r] = _primitive(pivot_row)
+    basis[r], cols[s] = cols[s], basis[r]

@@ -31,7 +31,8 @@ from polygonspace.chambers import (
     LengthVector,
     Wall,
     _members,
-    external_representative,
+    _proper,
+    _selectors,
     representative,
     signature,
 )
@@ -148,6 +149,12 @@ def crossing_report(
     )
 
 
+def _anchor_shorts(n: int, j: int) -> int:
+    """The short sets of external_representative(n, j + 1) in closed form: {j}
+    and every proper nonempty set without j but the complement of {j}."""
+    return _proper(n) & ~_selectors(n)[j] & ~(1 << ((1 << n) - 1 ^ 1 << j)) | 1 << (1 << j)
+
+
 def betti_via_path(r: LengthVector, anchor_index: int | None = None) -> tuple[int, ...]:
     """Betti numbers of M(r) by wall-crossing from an external chamber.
 
@@ -165,11 +172,11 @@ def betti_via_path(r: LengthVector, anchor_index: int | None = None) -> tuple[in
         raise EmptyChamber(f"polygon space is empty for r = {r}")
     n = r.n
     if anchor_index is None:
-        largest = max(r.lengths)
-        anchor_index = min(i for i, x in enumerate(r.lengths, start=1) if x == largest)
-    anchor = signature(external_representative(n, anchor_index))
+        anchor_index = r.lengths.index(max(r.lengths)) + 1
+    if not 1 <= anchor_index <= n:
+        raise ValueError(f"index {anchor_index} out of range 1..{n}")
     betti = [1] * (n - 2)
-    sizes = Counter(m.bit_count() for m in _members(sig.shorts & ~anchor.shorts))
+    sizes = Counter(m.bit_count() for m in _members(sig.shorts & ~_anchor_shorts(n, anchor_index - 1)))
     for p, count in sizes.items():
         betti = [b + count * d for b, d in zip(betti, betti_delta(p, n - p, n))]
     return tuple(betti)

@@ -815,6 +815,13 @@ def test_integer_walk_matches_reference_walk(n: int) -> None:
     assert graph.edges == reference.edges
 
 
+@pytest.mark.parametrize("fixture", ["graph3", "graph4", "graph5", "graph6"])
+def test_node_order_is_sort_key_order(fixture: str, request) -> None:
+    # enumerate_chambers sorts by the ranks of the maximal short sets
+    signatures = [node.signature for node in request.getfixturevalue(fixture).nodes]
+    assert signatures == sorted(signatures, key=lambda sig: sig.sort_key())
+
+
 def test_length_vector_keeps_fractions() -> None:
     third = Fraction(1, 3)
     r = LengthVector((third, third, 1))

@@ -381,7 +381,10 @@ def test_json_writer_is_json_dumps(monkeypatch) -> None:
     assert [doc for doc in docs if not doc] == []
     assert len(docs) == len(WRITER_ARGVS) and len({argv[0] for argv in WRITER_ARGVS}) == 10
     docs += [{}, {"a": [], "b": {}, "c": [[], {}, [[]], {"d": {}}]}, {"é": "ü☃\n\"\\", "k": [None, True, False, 1.5]},
-             {1: "int key", None: 0, 2.5: (1, 2)}]
+             {1: "int key", None: 0, 2.5: (1, 2)},
+             {"ints": [3, -1, 0, 10**30], "one": [7], "bools": [True, False], "mixed": [1, True, 0, False],
+              "first": [False, 2], "floats": [1, 2.0], "none": [1, None], "tuple": (4, 5), "pair": ((1,), ()),
+              "empty": [], "nested": [[], [[]], [[], [1, 2]], ()], "deep": {"a": [[[3]]]}, "flags": (True, None)}]
     for doc in docs:
         out = io.StringIO()
         emit(doc, "json", out)

@@ -15,7 +15,9 @@ from itertools import combinations
 
 import pytest
 
-from polygonspace import exactlp
+from polygonspace import chambers, exactlp
+
+from conftest import full_tableau_maximize
 
 F = Fraction
 
@@ -217,3 +219,83 @@ def test_split_equality_consistency() -> None:
         else:
             assert as_pair is not None
             assert as_eq[0] == as_pair[0]
+
+
+# -- the condensed tableau against the full one (tests/conftest.py): the same
+# pivots must give the same vertex, the same None and the same ValueError.
+
+
+def outcome(solve, args: tuple) -> object:
+    try:
+        return solve(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def assert_same_as_full_tableau(instances: list[tuple]) -> None:
+    for args in instances:
+        assert outcome(exactlp.maximize, args) == outcome(full_tableau_maximize, args), args
+
+
+def test_condensed_tableau_matches_full_tableau_on_the_walks(monkeypatch) -> None:
+    seen: list[tuple] = []
+    solve = exactlp.maximize
+    monkeypatch.setattr(exactlp, "maximize", lambda *args: seen.append(args) or solve(*args))
+    for n in range(3, 7):
+        chambers._walk(n)
+    monkeypatch.undo()
+    assert len(seen) >= 100  # the walks must reach the LP fallback
+    assert_same_as_full_tableau(seen)
+
+
+def test_condensed_tableau_matches_full_tableau_on_the_oracle_instances(monkeypatch) -> None:
+    # the instances of test_random_instances_match_vertex_oracle, solved with
+    # the full tableau standing in for the slow vertex oracle
+    seen: list[tuple] = []
+    solve = exactlp.maximize
+    monkeypatch.setattr(exactlp, "maximize", lambda *args: seen.append(args) or solve(*args))
+    monkeypatch.setitem(globals(), "oracle_max", lambda *args: (full_tableau_maximize(*args) or (None,))[0])
+    test_random_instances_match_vertex_oracle()
+    monkeypatch.undo()
+    assert len(seen) == 200
+    assert_same_as_full_tableau(seen)
+
+
+def test_condensed_tableau_matches_full_tableau_on_hard_instances() -> None:
+    degenerate = (
+        [F(1), F(1), F(0)],
+        [],
+        [([F(1), F(-1), F(0)], F(0)), ([F(-1), F(1), F(0)], F(0)), ([F(0), F(1), F(-1)], F(0)),
+         ([F(-1), F(0), F(0)], F(-4)), ([F(0), F(0), F(-1)], F(-4))],
+    )
+    beale = (  # cycles under Dantzig's rule alone, so it reaches Bland's
+        [F(3, 4), F(-150), F(1, 50), F(-6)],
+        [],
+        [([F(-1, 4), F(60), F(1, 25), F(-9)], F(0)), ([F(-1, 2), F(90), F(1, 50), F(-3)], F(0)),
+         ([F(0), F(0), F(-1), F(0)], F(-1))],
+    )
+    unbounded = ([F(1), F(0)], [], [([F(1), F(-1)], F(0))])
+    too_wide = ([F(1)], [([F(1), F(1)], F(1))], [])
+    redundant = ([F(1), F(2)], [([F(1), F(1)], F(1)), ([F(2), F(2)], F(2))], [])
+    instances = [degenerate, beale, unbounded, too_wide, redundant]
+    # unboxed and boxed, with equalities of any right side: phase-one
+    # leftovers driven out on negative pivots, redundant rows, unbounded
+    # objectives and infeasible systems
+    rng = random.Random(5)
+    for _ in range(600):
+        nvars = rng.randint(1, 5)
+        objective = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(nvars)]
+        ge_rows = [([F(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(nvars)], F(rng.randint(-6, 2)))
+                   for _ in range(rng.randint(0, 5))]
+        eq_rows = [([F(rng.randint(-3, 3)) for _ in range(nvars)], F(rng.randint(-3, 3)))
+                   for _ in range(rng.randint(0, 2))]
+        if rng.random() < 0.7:
+            ge_rows += [([F(-(i == j)) for j in range(nvars)], F(-rng.randint(1, 9))) for i in range(nvars)]
+        instances.append((objective, eq_rows, ge_rows))
+    outcomes = [outcome(exactlp.maximize, args) for args in instances]
+    assert outcomes[:4] == [(8, (4, 4, 0)), (F(1, 20), (F(1, 25), 0, 1, 0)),
+                            (ValueError, "objective is unbounded"),
+                            (ValueError, "constraint width does not match the objective")]
+    assert {type(o) for o in outcomes} == {tuple, type(None)}
+    assert sum(o is None for o in outcomes) >= 100 and sum(o[0] is ValueError for o in outcomes if o) >= 50
+    assert_same_as_full_tableau(instances)

@@ -213,6 +213,19 @@ def test_betti_via_path_anchor_independence() -> None:
         assert len(rows) == 1
 
 
+def test_anchor_shorts_are_the_external_representatives() -> None:
+    for n in range(3, 15):
+        for j in range(n):
+            assert wallcross._anchor_shorts(n, j) == signature(external_representative(n, j + 1)).shorts
+    r = LengthVector.parse("1,1,1,1,1")
+    for bad in (0, 6):
+        with pytest.raises(ValueError) as expected:
+            external_representative(5, bad)
+        with pytest.raises(ValueError) as raised:
+            betti_via_path(r, anchor_index=bad)
+        assert str(raised.value) == str(expected.value)
+
+
 def test_betti_via_path_representative_independence(graph4) -> None:
     for node in graph4.nodes:
         if node.empty:
