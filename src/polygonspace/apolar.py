@@ -16,24 +16,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 from typing import Callable, Sequence
 
 from polygonspace.chambers import ChamberSignature, IndexSet
-from polygonspace.ratpoly import (
-    Exponents,
-    MultiPoly,
-    _primitive,
-    _scaled,
-    matrix_rank,
-    monomial_exponents,
-    sparse_kernel,
-)
+from polygonspace.ratpoly import Exponents, MultiPoly, _primitive, _scaled, matrix_rank, sparse_kernel
 from polygonspace.volume import (
     Convention,
+    Fold,
     VolumePolynomial,
     WrongTotalDegree,
+    _columns,
     _monomials,
+    _lifted_fold,
+    _read_walsh,
     _walsh,
     volume_polynomial,
 )
@@ -99,46 +94,18 @@ def _parity_columns(n: int, d: int) -> tuple[tuple[Exponents, ...], tuple[int, .
     return tuple(first[s] for s in columns), columns, odd.__getitem__
 
 
-Fold = tuple[tuple[int, int], ...]
-
-
-def _columns(n: int, d: int, conv: Convention) -> tuple[tuple[Exponents, ...], Sequence[int] | list[Fold]]:
-    """The degree-d monomials in the convention's variables, graded-lex, and
-    each one's catalecticant column (see `_catalecticant`).
-
-    A homogeneous x^α has the column odd(α).  Under AFFINE(j), y^β acts on
-    v_aff as its lift ∏_{i∈B}(xᵢ − xⱼ)^{bᵢ} acts on v, B the support of β
-    (see `Convention.lift`).  Taking kᵢ of the bᵢ factors from −xⱼ gives a
-    monomial whose odd set depends on the parities ρᵢ of the kᵢ only, and
-    Σ_{k≡ρ (2)} C(b,k)(−1)^k = (−1)^ρ·2^{b−1} for b ≥ 1, so the column is
-    the fold 2^{|β|−|B|}·Σ_{F⊆B} (−1)^{|F|} at odd(β) △ F △ ({j} if |F| is
-    odd), as (coefficient, odd set) pairs.
-    """
-    domain, odd = _monomials(conv.nvars(n), d)
-    j = conv.affine_index
-    if j is None:
-        return domain, odd
-    folds = []
-    for beta in domain:
-        beta = beta[: j - 1] + (0,) + beta[j - 1 :]
-        fold = [(1 << d - sum(map(bool, beta)), sum(1 << i for i, b in enumerate(beta) if b % 2))]
-        for i in (i for i, b in enumerate(beta) if b):
-            fold += [(-c, s ^ (1 << i | 1 << j - 1)) for c, s in fold]
-        folds.append(tuple(fold))
-    return domain, folds
-
-
 def _catalecticant(
-    w: list[int], n: int, d: int, columns: Sequence[int] | list[Fold], conv: Convention
+    w: list[int], n: int, d: int, columns: Sequence[int] | Sequence[Fold], conv: Convention
 ) -> list[list[int]]:
     """Rows T ∈ P(n, n−3−d) of W(S ^ T) over the homogeneous columns S, or
     of Σ c·W(S ^ T) over the pairs (c, S) of each affine fold.
 
-    By volume_polynomial's coefficient formula the homogeneous Hankel entry
-    w_{α+γ} is ±D·W(odd(α) ^ odd(γ))/2, and odd(γ) runs over P(n, n−3−d):
-    up to one nonzero factor these are the distinct rows of Q ↦ Q(∂)v over
-    the columns' (lifted) classes Q, with the same rank and reduced-echelon
-    kernel; lifting loses nothing (see `Convention.lift`).
+    The coefficient of x^γ in Q(∂)v is s·Σ_S q_S·W(S ^ odd(γ))/(2·γ!) over
+    the odd-set sums q_S of Q (see `volume._read_walsh`), and odd(γ) runs
+    over P(n, n−3−d): up to one nonzero factor per row these are the
+    distinct rows of Q ↦ Q(∂)v over the columns' (lifted) classes Q, with
+    the same rank and reduced-echelon kernel; lifting loses nothing (see
+    `Convention.lift`).
     """
     rows = _odd_sets(n, n - 3 - d)
     if conv.is_homogeneous:
@@ -258,23 +225,18 @@ def is_zero_class(
 ) -> bool:
     """True iff the class annihilates the chamber polynomial (is zero in H*).
 
-    The class is lifted to the homogeneous ring (see `Convention.lift`);
-    Q(∂)v has coefficient Σ_α q_α·w_{α+γ}/(D·γ!) at x^γ (see
-    `VolumePolynomial.hankel`), so Q is zero exactly when each of these
-    integer sums vanishes.
+    The class is lifted to the homogeneous ring (see `Convention.lift`) and
+    summed by odd set to q̃; Q(∂)v has coefficient s·Σ_S q̃_S·W(S △ T)/(2·D·γ!)
+    at each x^γ with odd(γ) = T (see `volume._read_walsh`), so Q is zero
+    exactly when these integer sums vanish for every T ∈ P(n, n−3−deg Q).
     """
     n = sig.n
     # every class above the top degree is zero; its variables are still checked
-    q = conv.lift(c.poly if c.degree <= n - 3 else MultiPoly.zero(c.nvars), n)
-    if q.is_zero:
+    fold = _lifted_fold(c.poly if c.degree <= n - 3 else MultiPoly.zero(c.nvars), conv, n)[0]
+    if not fold:
         return True
-    hankel = volume_polynomial(sig).hankel[0]
-    alphas, coeffs = zip(*q.terms())
-    scaled = _scaled(coeffs)[0]
-    return not any(
-        sum(qa * hankel.get(tuple(map(add, alpha, gamma)), 0) for alpha, qa in zip(alphas, scaled))
-        for gamma in monomial_exponents(n, n - 3 - q.degree())
-    )
+    w = volume_polynomial(sig).walsh
+    return not any(_read_walsh(w, fold, t) for t in _odd_sets(n, n - 3 - c.degree))
 
 
 def poincare_pairing(
@@ -285,8 +247,9 @@ def poincare_pairing(
 ) -> Fraction:
     """⟨a·b, [M(r)]⟩ for complementary degrees (deg a + deg b = n−3).
 
-    With a and b lifted, the top derivative (a·b)(∂)v is the constant
-    Σ_{α,β} a_α·b_β·w_{α+β}/D.  The zero class pairs to 0 with any class.
+    With a and b lifted and summed by odd set to ã/D_a and b̃/D_b (see
+    `volume._read_walsh`), (a·b)(∂)v is s·Σ_{S,T} ã_S·b̃_T·W(S △ T)/(2·D_a·D_b).
+    The zero class pairs to 0 with any class.
     """
     n, zero = sig.n, not (a.poly and b.poly)
     if not zero and a.degree + b.degree != n - 3:
@@ -294,15 +257,10 @@ def poincare_pairing(
             f"degrees {a.degree}+{b.degree} != n-3 = {n - 3}"
         )
     # the zero class is lifted as itself, for its variables to be checked
-    la, lb = (conv.lift(MultiPoly.zero(x.nvars) if zero else x.poly, n) for x in (a, b))
-    hankel, scale = volume_polynomial(sig).hankel
-    (ia, da), (ib, db) = (_scaled([c for _, c in x.terms()]) for x in (la, lb))
-    total = sum(
-        ca * cb * hankel.get(tuple(map(add, alpha, beta)), 0)
-        for (alpha, _), ca in zip(la.terms(), ia)
-        for (beta, _), cb in zip(lb.terms(), ib)
-    )
-    return Fraction(total, scale * da * db)
+    (fa, da), (fb, db) = (_lifted_fold(MultiPoly.zero(x.nvars) if zero else x.poly, conv, n) for x in (a, b))
+    w = volume_polynomial(sig).walsh
+    total = sum(cb * _read_walsh(w, fa, t) for cb, t in fb)
+    return Fraction((-1) ** n * total, 2 * da * db)
 
 
 def pd_class(I: IndexSet, base: int) -> CohomologyClass:

@@ -51,11 +51,7 @@ from polygonspace.ratpoly import (
     format_rational,
     parse_rational,
 )
-from polygonspace.volume import (
-    Convention,
-    intersection_number,
-    volume_polynomial,
-)
+from polygonspace.volume import SCALE_NOTE, Convention, intersection_number, presented_volume, volume_polynomial
 from polygonspace.wallcross import (
     ChamberValidation,
     betti_via_path,
@@ -337,9 +333,9 @@ def _cmd_volume(args: argparse.Namespace) -> tuple[dict[str, object], int]:
         "r": r.to_strings(),
         "convention": str(conv),
         "variables": names,
-        "poly": _poly_doc(conv.apply(vp.v), names),
+        "poly": _poly_doc(presented_volume(vp, conv), names),
         "value_at_r": format_rational(vp.v.evaluate(tuple(r))),
-        "scale": vp.scale_note,
+        "scale": SCALE_NOTE,
     }
     return doc, EXIT_OK
 

@@ -310,29 +310,6 @@ class MultiPoly:
 
     # -- variable manipulation ---------------------------------------------
 
-    def eliminate_variable(self, index: int, replacement: MultiPoly) -> MultiPoly:
-        """Substitute a polynomial in the remaining variables for x_index.
-
-        ``replacement`` must have nvars-1 variables, ordered as the original
-        variables with position ``index`` removed; the result lives in that
-        smaller variable set.
-        """
-        if not 0 <= index < self.nvars:
-            raise ValueError(f"variable index {index} out of range")
-        if replacement.nvars != self.nvars - 1:
-            raise ValueError("replacement must have one variable fewer")
-        acc: dict[Exponents, Fraction] = {}
-        powers: dict[int, MultiPoly] = {}
-        for e, c in self._terms:
-            k = e[index]
-            if k not in powers:
-                powers[k] = replacement**k
-            rest = e[:index] + e[index + 1 :]
-            for pe, pc in powers[k]._terms:
-                key = tuple(a + b for a, b in zip(rest, pe))
-                acc[key] = acc.get(key, 0) + c * pc
-        return MultiPoly._from_terms(self.nvars - 1, {e: c for e, c in acc.items() if c})
-
     def permute(self, perm: Sequence[int]) -> MultiPoly:
         """Relabel variables: variable i becomes variable perm[i]."""
         if sorted(perm) != list(range(self.nvars)):

@@ -10,7 +10,8 @@ computes the jump between the polynomials of two adjacent chambers.
 All volumes are reported without the transcendental prefactor: the true
 symplectic volume is (2π)^(n−3) times the rational value computed here.
 Every polynomial is stored in the homogeneous convention (all n variables);
-an affine convention is a change of variables on classes (`Convention.lift`).
+an affine convention is a change of variables on classes (`Convention.lift`),
+and derivatives in every convention are read from the chamber's Walsh table.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
+from typing import Sequence
 
 from polygonspace.chambers import ChamberSignature, IndexSet, LengthVector, _members, _proper, signature
 from polygonspace.ratpoly import Exponents, MultiIndex, MultiPoly, _scaled, monomial_exponents
@@ -95,14 +97,6 @@ class Convention:
             raise ValueError(f"affine index {j} exceeds n = {n}")
         return n - 1
 
-    def apply(self, poly: MultiPoly) -> MultiPoly:
-        """Present a homogeneous n-variable polynomial in this convention."""
-        j = self.affine_index
-        if j is None:
-            return poly
-        replacement = 1 - MultiPoly.linear_form([1] * self.nvars(poly.nvars))
-        return poly.eliminate_variable(j - 1, replacement)
-
     def lift(self, poly: MultiPoly, n: int) -> MultiPoly:
         """The homogeneous class that a class in this convention stands for.
 
@@ -145,29 +139,14 @@ class Convention:
 class VolumePolynomial:
     """The chamber's volume polynomial, homogeneous of degree n−3 in r₁..rₙ.
 
-    The true volume is (2π)^(n−3) times v; identically zero on empty
-    chambers.  `walsh` is the chamber's Walsh table W that v was built from
-    (see `volume_polynomial`), kept for the catalecticants read from it.
+    The true volume is (2π)^(n−3) times v (`SCALE_NOTE`); identically zero
+    on empty chambers.  `walsh` is the Walsh table W that v was built from
+    (see `volume_polynomial`), the one table its derivatives are read from.
     """
 
     chamber: ChamberSignature
     v: MultiPoly
     walsh: list[int] = field(repr=False, compare=False)
-    scale_note: str = SCALE_NOTE
-
-    @cached_property
-    def hankel(self) -> tuple[dict[Exponents, int], int]:
-        """(w, D): w_e = D·c_e·e! over the coefficients c_e of v, D the least
-        common denominator of the c_e·e!.
-
-        Since ∂^α x^e = e!/(e−α)!·x^{e−α}, the coefficient of x^γ in Q(∂)v is
-        Σ_α q_α·w_{α+γ}/(D·γ!), so membership tests and pairings read this
-        table instead of differentiating.  Built on first use and kept here,
-        so it lives exactly as long as the cached polynomial.
-        """
-        terms = self.v.terms()
-        table, scale = _scaled([c * math.prod(map(math.factorial, e)) for e, c in terms])
-        return {e: w for (e, _), w in zip(terms, table)}, scale
 
 
 @lru_cache(maxsize=None)
@@ -231,6 +210,77 @@ def volume_polynomial(sig: ChamberSignature) -> VolumePolynomial:
     return VolumePolynomial(sig, MultiPoly._from_terms(n, terms), w)
 
 
+Fold = tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=16)  # the n − 1 degrees of one convention; at n = 10 they hold 54 MB
+def _columns(n: int, d: int, conv: Convention) -> tuple[tuple[Exponents, ...], Sequence[int] | tuple[Fold, ...]]:
+    """The degree-d monomials in the convention's variables, graded-lex, and
+    each one's odd-set fold: the odd-set sums of its lifted class.
+
+    A homogeneous x^α has the single odd set odd(α).  Under AFFINE(j), y^β
+    lifts to ∏_{i∈B}(xᵢ − xⱼ)^{bᵢ}, B the support of β (see
+    `Convention.lift`).  Taking kᵢ of the bᵢ factors from −xⱼ gives a
+    monomial whose odd set depends on the parities ρᵢ of the kᵢ only, and
+    Σ_{k≡ρ (2)} C(b,k)(−1)^k = (−1)^ρ·2^{b−1} for b ≥ 1, so the fold is
+    2^{|β|−|B|}·Σ_{F⊆B} (−1)^{|F|} at odd(β) △ F △ ({j} if |F| is odd),
+    as (coefficient, odd set) pairs.
+    """
+    domain, odd = _monomials(conv.nvars(n), d)
+    j = conv.affine_index
+    if j is None:
+        return domain, odd
+    folds = []
+    for beta in domain:
+        beta = beta[: j - 1] + (0,) + beta[j - 1 :]
+        fold = [(1 << d - sum(map(bool, beta)), sum(1 << i for i, b in enumerate(beta) if b % 2))]
+        for i in (i for i, b in enumerate(beta) if b):
+            fold += [(-c, s ^ (1 << i | 1 << j - 1)) for c, s in fold]
+        folds.append(tuple(fold))
+    return domain, tuple(folds)
+
+
+def _lifted_fold(poly: MultiPoly, conv: Convention, n: int) -> tuple[Fold, int]:
+    """(q̃, D): the coefficients of the lifted class scaled to integers by
+    their least common denominator D and summed by odd set, as a fold."""
+    terms = conv.lift(poly, n).terms()
+    sums: dict[int, int] = {}
+    scaled, scale = _scaled([c for _, c in terms])
+    for (e, _), c in zip(terms, scaled):
+        odd = sum(1 << i for i, k in enumerate(e) if k % 2)
+        sums[odd] = sums.get(odd, 0) + c
+    return tuple((c, s) for s, c in sums.items()), scale
+
+
+def _read_walsh(w: list[int], fold: Fold, t: int = 0) -> int:
+    """Σ_S q̃_S·W(S △ T) over the fold's pairs (q̃_S, S): by volume_polynomial's
+    coefficient formula, and ∂^α x^e = e!/(e−α)!·x^{e−α}, Q(∂)v has
+    coefficient s·Σ/(2·D·γ!) at any x^γ with odd(γ) = T, s = (−1)ⁿ."""
+    return sum(c * w[s ^ t] for c, s in fold)
+
+
+def presented_volume(vp: VolumePolynomial, conv: Convention) -> MultiPoly:
+    """The chamber polynomial in the convention's variables.
+
+    Under AFFINE(j), the coefficient of y^β in v_aff is ∂_y^β v_aff(0)/β!,
+    and ∂_y^β v_aff(0) = (L(y^β)(∂)v)(e_j) (see `Convention.lift`), k! times
+    the coefficient of x_j^k, k = n−3−|β|.  So it is
+    s·Σ_{(c,S)} c·W(S △ T_k)/(2·β!·k!) over the fold of y^β (see `_columns`),
+    T_k = {j} if k is odd and ∅ otherwise.
+    """
+    n, j = vp.chamber.n, conv.affine_index
+    if j is None:
+        return vp.v
+    w, sign, terms = vp.walsh, (-1) ** n, {}
+    for d in range(n - 2):
+        k = n - 3 - d
+        t, kfact = (1 << j - 1) * (k % 2), math.factorial(k)
+        for beta, fold in zip(*_columns(n, d, conv)):
+            if total := _read_walsh(w, fold, t):
+                terms[beta] = Fraction(sign * total, 2 * kfact * math.prod(map(math.factorial, beta)))
+    return MultiPoly._from_terms(n - 1, terms)
+
+
 def volume_value(r: LengthVector) -> Fraction:
     """vol(M(r)) / (2π)^{n−3} at a generic r; zero iff the space is empty."""
     return volume_polynomial(signature(r)).v.evaluate(tuple(r))
@@ -241,7 +291,7 @@ def derivative_polynomial(
 ) -> MultiPoly:
     """∂^α of the chamber polynomial presented in the given convention."""
     reduced = conv.reduce_multiindex(alpha, vp.chamber.n)
-    return conv.apply(vp.v).differentiate(reduced)
+    return presented_volume(vp, conv).differentiate(reduced)
 
 
 def intersection_number(
@@ -250,8 +300,9 @@ def intersection_number(
     """∫ c₁^{α₁}⋯cₙ^{αₙ} over M(r) for r in the chamber, |α| = n−3.
 
     The top-order derivative of the volume polynomial is a constant; its
-    value is the intersection number in the chosen convention.  ∂^α v is
-    w_α/D, so it is read from the Hankel table, after lifting x^α.
+    value is the intersection number in the chosen convention.  With x^α
+    lifted and summed by odd set to q̃/D, it is s·Σ_S q̃_S·W(S)/(2D),
+    s = (−1)ⁿ, read from the Walsh table (see `_read_walsh`).
     """
     n = sig.n
     if alpha.total != n - 3:
@@ -259,9 +310,8 @@ def intersection_number(
             f"|alpha| = {alpha.total}, expected n-3 = {n - 3}"
         )
     reduced = conv.reduce_multiindex(alpha, n).exponents
-    w, scale = volume_polynomial(sig).hankel
-    lifted = conv.lift(MultiPoly._from_terms(len(reduced), {reduced: Fraction(1)}), n)
-    return sum(c * w.get(e, 0) for e, c in lifted.terms()) / scale
+    fold, scale = _lifted_fold(MultiPoly._from_terms(len(reduced), {reduced: Fraction(1)}), conv, n)
+    return Fraction((-1) ** n * _read_walsh(volume_polynomial(sig).walsh, fold), 2 * scale)
 
 
 def wall_jump(

@@ -13,6 +13,7 @@ that route against the apolarity route.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -184,7 +185,7 @@ def betti_via_path(r: LengthVector, anchor_index: int | None = None) -> tuple[in
 
 @lru_cache(maxsize=64)  # one entry per exit set: 2^6 cover a whole walk at n <= 6
 def _expected_table(n: int, exit_mask: int) -> dict[tuple[int, ...], int]:
-    """The Hankel table (scale 1) of (−1)^q/(n−3)!·ε^(n−3), ε the form of the
+    """The table e!·c_e (all integers) of (−1)^q/(n−3)!·ε^(n−3), ε the form of the
     exit set: x^e has coefficient (−1)^q·∏ sᵢ^eᵢ/∏ eᵢ!, sᵢ = ±1 the sign of xᵢ
     in ε (−1 off the exit set), so w_e = (−1)^(q + Σ_{i∉I} eᵢ)."""
     minus, q = ~exit_mask, n - exit_mask.bit_count()
@@ -192,12 +193,22 @@ def _expected_table(n: int, exit_mask: int) -> dict[tuple[int, ...], int]:
             for e in monomial_exponents(n, n - 3)}
 
 
+@lru_cache(maxsize=None)
+def _twice_factorials(n: int) -> dict[tuple[int, ...], int]:
+    """2·e! for the degree-(n−3) monomials x^e."""
+    return {e: 2 * math.prod(map(math.factorial, e)) for e in monomial_exponents(n, n - 3)}
+
+
 def _jump_agrees(sig0: ChamberSignature, sig1: ChamberSignature, exit_mask: int) -> bool:
-    """v₁ − v₀ is the closed form of exit_mask: w¹·D⁰ − w⁰·D¹ = wˣ·D⁰·D¹ on Hankel tables."""
-    (w0, d0), (w1, d1) = (volume_polynomial(s).hankel for s in (sig0, sig1))
-    x = _expected_table(sig0.n, exit_mask)
-    return w0.keys() <= x.keys() >= w1.keys() and all(
-        w1.get(e, 0) * d0 - w0.get(e, 0) * d1 == w * d0 * d1 for e, w in x.items())
+    """v₁ − v₀ is the closed form of exit_mask: w¹ − w⁰ = 2·wˣ on the integer
+    tables w = 2·e!·c_e of the expanded polynomials, divided exactly: a
+    coefficient whose denominator does not divide 2·e! fails."""
+    x, twice = _expected_table(sig0.n, exit_mask), _twice_factorials(sig0.n)
+    w0, w1 = ({e: divmod(twice.get(e, 1) * c.numerator, c.denominator) for e, c in volume_polynomial(s).v.terms()}
+              for s in (sig0, sig1))
+    if not w0.keys() <= x.keys() >= w1.keys() or any(rest for _, rest in (*w0.values(), *w1.values())):
+        return False
+    return all(w1.get(e, (0,))[0] - w0.get(e, (0,))[0] == 2 * w for e, w in x.items())
 
 
 @dataclass(frozen=True)
@@ -221,8 +232,8 @@ def validate_chamber(
     the wall-crossing route (walls between rep and an external chamber) must
     agree; the jump of the volume polynomial across each bounding wall must
     equal (−1)^q/(n−3)!·ε_{I_p}^{n−3}, compared exponent by exponent on the
-    integer Hankel tables w = D·c·e! of the two chambers' expanded
-    polynomials and of the closed form.  Failures are recorded, not raised.
+    integer tables w = 2·e!·c_e of the two chambers' expanded polynomials
+    and twice the closed form's.  Failures are recorded, not raised.
     """
     if sig.is_empty():
         raise EmptyChamber(f"cannot validate the empty space: {sig}")

@@ -438,11 +438,46 @@ def oracle_pairing(
 # classes to them.
 
 
+def eliminate_variable(poly: MultiPoly, index: int, replacement: MultiPoly) -> MultiPoly:
+    """Substitute a polynomial in the remaining variables for x_index.
+
+    ``replacement`` must have nvars-1 variables, ordered as the original
+    variables with position ``index`` removed; the result lives in that
+    smaller variable set.
+    """
+    if not 0 <= index < poly.nvars:
+        raise ValueError(f"variable index {index} out of range")
+    if replacement.nvars != poly.nvars - 1:
+        raise ValueError("replacement must have one variable fewer")
+    acc: dict[Exponents, Fraction] = {}
+    powers: dict[int, MultiPoly] = {}
+    for e, c in poly.terms():
+        k = e[index]
+        if k not in powers:
+            powers[k] = replacement**k
+        rest = e[:index] + e[index + 1 :]
+        for pe, pc in powers[k].terms():
+            key = tuple(a + b for a, b in zip(rest, pe))
+            acc[key] = acc.get(key, 0) + c * pc
+    return MultiPoly._from_terms(poly.nvars - 1, {e: c for e, c in acc.items() if c})
+
+
+def apply_convention(conv: Convention, poly: MultiPoly) -> MultiPoly:
+    """Present a homogeneous n-variable polynomial in the convention, by
+    substituting r_j = 1 - sum of the others under AFFINE(j).  Oracle for
+    ``presented_volume``, which reads the Walsh table instead."""
+    j = conv.affine_index
+    if j is None:
+        return poly
+    replacement = 1 - MultiPoly.linear_form([1] * conv.nvars(poly.nvars))
+    return eliminate_variable(poly, j - 1, replacement)
+
+
 @lru_cache(maxsize=1024)
 def presented(sig: ChamberSignature, conv: Convention) -> MultiPoly:
-    """The chamber polynomial in the convention, expanded by ``Convention.apply``
+    """The chamber polynomial in the convention, expanded by ``apply_convention``
     (kept for the oracles that ask for it again)."""
-    return conv.apply(volume_polynomial(sig).v)
+    return apply_convention(conv, volume_polynomial(sig).v)
 
 
 def hankel_table(poly: MultiPoly) -> tuple[dict[Exponents, int], int]:

@@ -32,6 +32,7 @@ from polygonspace import (
     pd_class,
     poincare_pairing,
     presentation,
+    presented_volume,
     signature,
     volume_polynomial,
 )
@@ -41,6 +42,7 @@ from polygonspace.ratpoly import matrix_rank, monomial_exponents, rank_and_kerne
 from polygonspace.volume import _monomials, _walsh
 
 from conftest import (
+    apply_convention,
     expanded_betti,
     expanded_catalecticant,
     hausmann_knutson_betti,
@@ -527,16 +529,17 @@ def test_membership_and_pairing_match_apply_operator_n5(graph5) -> None:
 
 
 def test_lifted_route_matches_the_expanded_route(graph5) -> None:
-    # every affine answer comes from the homogeneous W and Hankel tables
-    # with the class lifted; the oracle expands v_aff instead, with
-    # catalecticant rows in every degree
+    # every answer in every convention comes from the homogeneous W with
+    # the class lifted; the oracle expands v in the convention by
+    # substitution instead, with catalecticant rows in every degree
     rng = random.Random(1616)
     sigs = [node.signature for node in graph5.nodes if not node.empty]
     sigs += [signature(random_nonempty(rng, n)) for n in (6, 6, 7)]
     for sig in sigs:
         n, w = sig.n, _walsh(sig)
-        for conv in map(Convention.affine, range(1, n + 1)):
-            v_aff = presented(sig, conv)
+        for conv in [*map(Convention.affine, range(1, n + 1)), HOM]:
+            v_aff, nvars = presented(sig, conv), conv.nvars(n)
+            assert presented_volume(volume_polynomial(sig), conv) == v_aff, (sig, conv)
             for d in range(n - 1):
                 domain, columns = _columns(n, d, conv)
                 expected_domain, mat = expanded_catalecticant(v_aff, d)
@@ -544,14 +547,14 @@ def test_lifted_route_matches_the_expanded_route(graph5) -> None:
                 kernel = sparse_kernel(_catalecticant(w, n, d, columns, conv), len(domain))
                 assert kernel == sparse_kernel(mat, len(domain)), (sig, conv, d)
             assert betti_numbers(sig, conv) == expanded_betti(sig, conv), (sig, conv)
-            for c in _seeded_classes(rng, sig, conv, n - 1)[:: 3 if n == 5 else 1]:
+            for c in _seeded_classes(rng, sig, conv, nvars)[:: 3 if n == 5 else 1]:
                 assert is_zero_class(cls(c), sig, conv) == oracle_is_zero(c, sig, conv), (sig, conv, c)
             for da in range(n - 2):
-                a, b = _random_class(rng, n - 1, da), _random_class(rng, n - 1, n - 3 - da)
+                a, b = _random_class(rng, nvars, da), _random_class(rng, nvars, n - 3 - da)
                 assert poincare_pairing(cls(a), cls(b), sig, conv) == oracle_pairing(a, b, sig, conv)
-            for beta in monomial_exponents(n - 1, n - 3)[:: 1 if n == 5 else 7]:
+            for beta in monomial_exponents(nvars, n - 3)[:: 1 if n == 5 else 7]:
                 j = conv.affine_index
-                alpha = MultiIndex(beta[: j - 1] + (0,) + beta[j - 1 :])
+                alpha = MultiIndex(beta if j is None else beta[: j - 1] + (0,) + beta[j - 1 :])
                 expected = v_aff.differentiate(beta).constant_value()
                 assert intersection_number(sig, alpha, conv) == expected, (sig, conv, alpha)
 
@@ -567,7 +570,7 @@ def test_lift_is_the_chain_rule() -> None:
                     q = _random_class(rng, n - 1, d)
                     lifted = conv.lift(q, n)
                     assert lifted.nvars == n and lifted.is_homogeneous() and lifted.degree() == d
-                    assert conv.apply(lifted.apply_operator(v)) == q.apply_operator(conv.apply(v))
+                    assert apply_convention(conv, lifted.apply_operator(v)) == q.apply_operator(apply_convention(conv, v))
     q = _random_class(rng, 5, 2)
     assert HOM.lift(q, 5) is q
     assert Convention.affine(2).lift(var(4, 1) * var(4, 3), 5) == (var(5, 1) - var(5, 2)) * (var(5, 4) - var(5, 2))
@@ -634,8 +637,8 @@ def test_hankel_tables_go_with_the_volume_cache(blowup_sig) -> None:
     assert before == [True, False, True, -2, oracle_pairing(var(4, 3), var(4, 1), blowup_sig, AFF5)]
     vp = volume_polynomial(blowup_sig)
     # one homogeneous table serves every convention, kept on the cached polynomial
-    assert vp.hankel is volume_polynomial(blowup_sig).hankel
-    assert vars(vp)["hankel"] is vp.hankel
+    assert vp.walsh is volume_polynomial(blowup_sig).walsh
+    assert vars(vp)["walsh"] is vp.walsh
     refs = [weakref.ref(vp)]
     del vp
     volume_polynomial.cache_clear()
@@ -660,7 +663,9 @@ def test_membership_and_pairing_errors(blowup_sig) -> None:
     with pytest.raises(ValueError, match="affine index 6 exceeds n = 5"):
         aff6.lift(var(5, 1), 5)
     with pytest.raises(ValueError, match="affine index 6 exceeds n = 5"):
-        aff6.apply(volume_polynomial(blowup_sig).v)
+        apply_convention(aff6, volume_polynomial(blowup_sig).v)
+    with pytest.raises(ValueError, match="affine index 6 exceeds n = 5"):
+        presented_volume(volume_polynomial(blowup_sig), aff6)
 
 
 def test_pd_bases_agree_observed(cp2_sig, blowup_sig) -> None:

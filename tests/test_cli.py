@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from polygonspace import Convention, LengthVector, MultiPoly, signature, volume_polynomial
 from polygonspace import cli
 
-from conftest import direct_volume_value
+from conftest import apply_convention, direct_volume_value
 
 CP2 = "3/20,3/20,2/5,3/20,3/20"
 BLOWUP = "3/60,11/60,24/60,11/60,11/60"
@@ -69,9 +69,9 @@ def test_volume_document_and_round_trip() -> None:
     aff = invoke_json(["volume", "--r", CP2, "--convention", "affine:5"])
     assert aff["variables"] == ["r1", "r2", "r3", "r4"]
     assert aff["value_at_r"] == "1/50"  # value is convention-independent
-    assert MultiPoly.from_records(4, aff["poly"]["records"]) == Convention.affine(
-        5
-    ).apply(v)
+    assert MultiPoly.from_records(4, aff["poly"]["records"]) == apply_convention(
+        Convention.affine(5), v
+    )
 
 
 def test_volume_decimal_marked_approximate() -> None:
@@ -101,8 +101,8 @@ def test_ring_document() -> None:
     assert by_degree[2] == ["-x1^2 + x1*x3", "x3^2"]
     assert by_degree[3] == []
     # every generator re-parses and annihilates the presented polynomial
-    v_aff = Convention.affine(5).apply(
-        volume_polynomial(signature(LengthVector.parse(BLOWUP))).v
+    v_aff = apply_convention(
+        Convention.affine(5), volume_polynomial(signature(LengthVector.parse(BLOWUP))).v
     )
     for g in doc["generators"]:
         for c in g["classes"]:
@@ -144,7 +144,7 @@ def test_pairing_rejects_eliminated_variable() -> None:
 )
 def test_affine_index_outside_the_sides_exits_4(j: int, message: str) -> None:
     # the lift checks the index for betti, ring, intersect and pairing, and
-    # Convention.apply for the displayed volume polynomial
+    # presented_volume for the displayed volume polynomial
     for argv in (
         ["volume", "--r", BLOWUP],
         ["intersect", "--r", BLOWUP, "--alpha", "0,0,2,0,0"],

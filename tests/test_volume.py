@@ -22,10 +22,11 @@ from polygonspace import (
     volume_value,
     wall_jump,
 )
-from polygonspace.volume import VOLUME_CACHE_SIZE
+from polygonspace.volume import SCALE_NOTE, VOLUME_CACHE_SIZE
 
 from conftest import (
     BLOWUP_R,
+    apply_convention,
     CP2_R,
     direct_volume_value,
     random_empty,
@@ -55,7 +56,7 @@ def test_convention_parsing() -> None:
 def test_cp2_chamber_polynomial(cp2_sig) -> None:
     vp = volume_polynomial(cp2_sig)
     assert vp.chamber == cp2_sig
-    assert vp.scale_note == "(2pi)^(n-3)"
+    assert SCALE_NOTE == "(2pi)^(n-3)"
     expected = MultiPoly.linear_form([1, 1, -1, 1, 1]) ** 2 * F(1, 2)
     assert vp.v == expected
     assert vp.v.is_homogeneous() and vp.v.degree() == 2
@@ -174,7 +175,7 @@ def test_affine_presentation_agrees_on_unit_slice(graph4) -> None:
         v = volume_polynomial(node.signature).v
         r = node.representative  # perimeter 1 by construction
         assert r.perimeter == 1
-        sliced = conv.apply(v)
+        sliced = apply_convention(conv, v)
         assert sliced.nvars == 3
         point = tuple(x for i, x in enumerate(r) if i != 1)
         assert sliced.evaluate(point) == v.evaluate(tuple(r))

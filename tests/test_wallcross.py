@@ -20,6 +20,7 @@ from polygonspace import (
     MultiPoly,
     NonGenericSegment,
     NotAdjacent,
+    VolumePolynomial,
     adjacent_representative,
     betti_delta,
     betti_numbers,
@@ -369,6 +370,20 @@ def test_integer_jump_check_agrees_with_wall_jump(graph5) -> None:
                 agrees = wallcross._jump_agrees(sig0, sig1, mask)
                 assert agrees == (jump == closed_form_jump(5, mask))
                 assert agrees == (mask == exit_set.mask)
+
+
+def test_jump_check_divides_exactly(monkeypatch, cp2_sig, blowup_sig) -> None:
+    # 2·e!·c_e is an integer for every coefficient of v; x1^2 (2·e! = 4) at
+    # 2/3 instead of 1/2 would read 2·(4 // 3) = 2, the true value, if the
+    # division were floored, so only an exact one fails the check here
+    mask = cp2_sig.adjacent_pair_with(blowup_sig).mask
+    assert wallcross._jump_agrees(cp2_sig, blowup_sig, mask)
+    true_vp = wallcross.volume_polynomial
+    vp = true_vp(cp2_sig)
+    assert vp.v.coefficient((2, 0, 0, 0, 0)) == Fraction(1, 2)
+    off = VolumePolynomial(cp2_sig, MultiPoly(5, {**dict(vp.v.terms()), (2, 0, 0, 0, 0): Fraction(2, 3)}), vp.walsh)
+    monkeypatch.setattr(wallcross, "volume_polynomial", lambda sig: off if sig == cp2_sig else true_vp(sig))
+    assert not wallcross._jump_agrees(cp2_sig, blowup_sig, mask)
 
 
 def test_jump_checks_name_exit_walls(cp2_sig) -> None:
