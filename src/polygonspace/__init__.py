@@ -77,65 +77,3 @@ from polygonspace.wallcross import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AffineIndexUsed",
-    "ApolarPresentation",
-    "BadPartition",
-    "BaseNotInSet",
-    "BudgetExceeded",
-    "ChamberGraph",
-    "ChamberNode",
-    "ChamberSignature",
-    "ChamberValidation",
-    "CohomologyClass",
-    "Convention",
-    "DecompositionClass",
-    "DegenerateWall",
-    "DegreeOutOfRange",
-    "EmptyChamber",
-    "IndexSet",
-    "LengthVector",
-    "MultiIndex",
-    "MultiPoly",
-    "NonGenericSegment",
-    "NotAFacet",
-    "NotAdjacent",
-    "SingularLength",
-    "VolumePolynomial",
-    "Wall",
-    "WallCrossingReport",
-    "WrongTotalDegree",
-    "adjacent_representative",
-    "annihilator_generators",
-    "betti_delta",
-    "betti_numbers",
-    "betti_via_path",
-    "canonical_form",
-    "catalecticant_rank",
-    "crossing_report",
-    "derivative_polynomial",
-    "enumerate_chambers",
-    "epsilon",
-    "external_representative",
-    "format_rational",
-    "intersection_number",
-    "is_generic",
-    "is_zero_class",
-    "normal_bundle_chern",
-    "nudge_within_chamber",
-    "parse_rational",
-    "pd_bases_agree",
-    "pd_class",
-    "poincare_pairing",
-    "presentation",
-    "presented_volume",
-    "representative",
-    "segment_crossings",
-    "signature",
-    "validate_chamber",
-    "volume_polynomial",
-    "volume_value",
-    "wall_jump",
-    "__version__",
-]

@@ -2,10 +2,11 @@
 
 The rational cohomology ring of M(r) is ℚ[x₁..xₙ]/Ann(v): a polynomial Q in
 the degree-2 generators is zero exactly when Q(∂₁..∂ₙ) kills the chamber's
-volume polynomial v.  Everything here reduces to exact rank and kernel
-computations on catalecticant matrices (degree-d monomials acting on v by
-differentiation), so Betti numbers, annihilator generators, the Poincaré
-pairing, and the distinguished submanifold classes all come out exact.
+volume polynomial v.  Everything is read exactly from the chamber's Walsh
+table W: Betti numbers and annihilator generators are ranks and kernels of
+catalecticants (degree-d monomials acting on v by differentiation), while
+membership and the pairing are integer sums over W (`volume._read_walsh`)
+that compute no kernel; affine classes are lifted by `volume._fold`.
 
 Degrees are polynomial degrees throughout: a degree-d class lives in
 cohomological degree 2d.
@@ -105,7 +106,7 @@ def _catalecticant(
     over P(n, n−3−d): up to one nonzero factor per row these are the
     distinct rows of Q ↦ Q(∂)v over the columns' (lifted) classes Q, with
     the same rank and reduced-echelon kernel; lifting loses nothing (see
-    `Convention.lift`).
+    `volume._fold`).
     """
     rows = _odd_sets(n, n - 3 - d)
     if conv.is_homogeneous:
@@ -225,7 +226,7 @@ def is_zero_class(
 ) -> bool:
     """True iff the class annihilates the chamber polynomial (is zero in H*).
 
-    The class is lifted to the homogeneous ring (see `Convention.lift`) and
+    The class is lifted to the homogeneous ring (see `volume._fold`) and
     summed by odd set to q̃; Q(∂)v has coefficient s·Σ_S q̃_S·W(S △ T)/(2·D·γ!)
     at each x^γ with odd(γ) = T (see `volume._read_walsh`), so Q is zero
     exactly when these integer sums vanish for every T ∈ P(n, n−3−deg Q).

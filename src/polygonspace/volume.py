@@ -10,8 +10,8 @@ computes the jump between the polynomials of two adjacent chambers.
 All volumes are reported without the transcendental prefactor: the true
 symplectic volume is (2π)^(n−3) times the rational value computed here.
 Every polynomial is stored in the homogeneous convention (all n variables);
-an affine convention is a change of variables on classes (`Convention.lift`),
-and derivatives in every convention are read from the chamber's Walsh table.
+an affine convention is a change of variables on classes (`_fold`), and
+derivatives in every convention are read from the chamber's Walsh table.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from typing import Sequence
 
 from polygonspace.chambers import ChamberSignature, IndexSet, LengthVector, _members, _proper, signature
@@ -96,29 +95,6 @@ class Convention:
         if j > n:
             raise ValueError(f"affine index {j} exceeds n = {n}")
         return n - 1
-
-    def lift(self, poly: MultiPoly, n: int) -> MultiPoly:
-        """The homogeneous class that a class in this convention stands for.
-
-        Under AFFINE(j), ∂/∂yᵢ of v restricted to the slice is (∂ᵢ − ∂ⱼ)v
-        restricted, so Q(∂)v_aff is L(Q)(∂)v restricted, where L substitutes
-        xᵢ − xⱼ for yᵢ; here expanded by binomials.  L is a ring map, and
-        restriction to Σr = 1 is injective on homogeneous polynomials, so Q is
-        zero in the affine ring iff L(Q) is zero in the homogeneous one.
-        """
-        if poly.nvars != (expected := self.nvars(n)):
-            raise ValueError(f"wrong variable count: class has {poly.nvars} variables, "
-                             f"convention expects {expected}")
-        j = self.affine_index
-        if j is None:
-            return poly
-        acc: dict[Exponents, Fraction] = {}
-        for e, c in poly.terms():
-            for ks in product(*(range(b + 1) for b in e)):  # kᵢ of the eᵢ factors xᵢ − xⱼ give −xⱼ
-                alpha = tuple(b - k for b, k in zip(e, ks))
-                alpha = alpha[: j - 1] + (sum(ks),) + alpha[j - 1 :]
-                acc[alpha] = acc.get(alpha, 0) + (-1) ** sum(ks) * math.prod(map(math.comb, e, ks)) * c
-        return MultiPoly._from_terms(n, {e: c for e, c in acc.items() if c})
 
     def reduce_multiindex(self, alpha: MultiIndex, n: int) -> MultiIndex:
         """Drop the eliminated position from alpha; reject if it is used."""
@@ -213,42 +189,51 @@ def volume_polynomial(sig: ChamberSignature) -> VolumePolynomial:
 Fold = tuple[tuple[int, int], ...]
 
 
+def _fold(beta: Exponents, j: int | None) -> Fold:
+    """The lift of y^β to the homogeneous ring, summed by odd set, as
+    (coefficient, odd set) pairs: ((1, odd(β)),) when homogeneous (j None).
+
+    Under AFFINE(j), β has the n − 1 exponents of the variables i ≠ j.
+    ∂/∂yᵢ of v restricted to the slice is (∂ᵢ − ∂ⱼ)v restricted, so
+    Q(∂)v_aff is L(Q)(∂)v restricted, where L substitutes xᵢ − xⱼ for yᵢ.
+    L is a ring map, and restriction to Σr = 1 is injective on homogeneous
+    polynomials, so Q is zero in the affine ring iff L(Q) is zero in the
+    homogeneous one.  L(y^β) = ∏_{i∈B}(xᵢ − xⱼ)^{bᵢ}, B the support of β.
+    Taking kᵢ of the bᵢ factors from −xⱼ gives a monomial whose odd set
+    depends on the parities ρᵢ of the kᵢ only, and
+    Σ_{k≡ρ (2)} C(b,k)(−1)^k = (−1)^ρ·2^{b−1} for b ≥ 1, so the lift sums to
+    2^{|β|−|B|}·Σ_{F⊆B} (−1)^{|F|} at odd(β) △ F △ ({j} if |F| is odd).
+    """
+    if j is None:
+        return ((1, sum(1 << i for i, b in enumerate(beta) if b % 2)),)
+    beta = beta[: j - 1] + (0,) + beta[j - 1 :]
+    fold = [(1 << sum(beta) - sum(map(bool, beta)), sum(1 << i for i, b in enumerate(beta) if b % 2))]
+    for i in (i for i, b in enumerate(beta) if b):
+        fold += [(-c, s ^ (1 << i | 1 << j - 1)) for c, s in fold]
+    return tuple(fold)
+
+
 @lru_cache(maxsize=16)  # the n − 1 degrees of one convention; at n = 10 they hold 54 MB
 def _columns(n: int, d: int, conv: Convention) -> tuple[tuple[Exponents, ...], Sequence[int] | tuple[Fold, ...]]:
     """The degree-d monomials in the convention's variables, graded-lex, and
-    each one's odd-set fold: the odd-set sums of its lifted class.
-
-    A homogeneous x^α has the single odd set odd(α).  Under AFFINE(j), y^β
-    lifts to ∏_{i∈B}(xᵢ − xⱼ)^{bᵢ}, B the support of β (see
-    `Convention.lift`).  Taking kᵢ of the bᵢ factors from −xⱼ gives a
-    monomial whose odd set depends on the parities ρᵢ of the kᵢ only, and
-    Σ_{k≡ρ (2)} C(b,k)(−1)^k = (−1)^ρ·2^{b−1} for b ≥ 1, so the fold is
-    2^{|β|−|B|}·Σ_{F⊆B} (−1)^{|F|} at odd(β) △ F △ ({j} if |F| is odd),
-    as (coefficient, odd set) pairs.
-    """
+    their odd sets when homogeneous, or each one's `_fold` under AFFINE(j)."""
     domain, odd = _monomials(conv.nvars(n), d)
-    j = conv.affine_index
-    if j is None:
+    if conv.is_homogeneous:
         return domain, odd
-    folds = []
-    for beta in domain:
-        beta = beta[: j - 1] + (0,) + beta[j - 1 :]
-        fold = [(1 << d - sum(map(bool, beta)), sum(1 << i for i, b in enumerate(beta) if b % 2))]
-        for i in (i for i, b in enumerate(beta) if b):
-            fold += [(-c, s ^ (1 << i | 1 << j - 1)) for c, s in fold]
-        folds.append(tuple(fold))
-    return domain, tuple(folds)
+    return domain, tuple(_fold(beta, conv.affine_index) for beta in domain)
 
 
 def _lifted_fold(poly: MultiPoly, conv: Convention, n: int) -> tuple[Fold, int]:
-    """(q̃, D): the coefficients of the lifted class scaled to integers by
-    their least common denominator D and summed by odd set, as a fold."""
-    terms = conv.lift(poly, n).terms()
-    sums: dict[int, int] = {}
+    """(q̃, D): the class's coefficients scaled to integers by their least
+    common denominator D, lifted and summed by odd set (see `_fold`)."""
+    if poly.nvars != (expected := conv.nvars(n)):
+        raise ValueError(f"wrong variable count: class has {poly.nvars} variables, "
+                         f"convention expects {expected}")
+    terms, sums = poly.terms(), {}
     scaled, scale = _scaled([c for _, c in terms])
     for (e, _), c in zip(terms, scaled):
-        odd = sum(1 << i for i, k in enumerate(e) if k % 2)
-        sums[odd] = sums.get(odd, 0) + c
+        for f, s in _fold(e, conv.affine_index):
+            sums[s] = sums.get(s, 0) + c * f
     return tuple((c, s) for s, c in sums.items()), scale
 
 
@@ -263,9 +248,9 @@ def presented_volume(vp: VolumePolynomial, conv: Convention) -> MultiPoly:
     """The chamber polynomial in the convention's variables.
 
     Under AFFINE(j), the coefficient of y^β in v_aff is ∂_y^β v_aff(0)/β!,
-    and ∂_y^β v_aff(0) = (L(y^β)(∂)v)(e_j) (see `Convention.lift`), k! times
-    the coefficient of x_j^k, k = n−3−|β|.  So it is
-    s·Σ_{(c,S)} c·W(S △ T_k)/(2·β!·k!) over the fold of y^β (see `_columns`),
+    and ∂_y^β v_aff(0) = (L(y^β)(∂)v)(e_j) (see `_fold`), k! times the
+    coefficient of x_j^k, k = n−3−|β|.  So it is
+    s·Σ_{(c,S)} c·W(S △ T_k)/(2·β!·k!) over the fold of y^β (see `_fold`),
     T_k = {j} if k is odd and ∅ otherwise.
     """
     n, j = vp.chamber.n, conv.affine_index
@@ -301,7 +286,7 @@ def intersection_number(
 
     The top-order derivative of the volume polynomial is a constant; its
     value is the intersection number in the chosen convention.  With x^α
-    lifted and summed by odd set to q̃/D, it is s·Σ_S q̃_S·W(S)/(2D),
+    lifted and summed by odd set to q̃ (see `_fold`), it is s·Σ_S q̃_S·W(S)/2,
     s = (−1)ⁿ, read from the Walsh table (see `_read_walsh`).
     """
     n = sig.n
@@ -309,9 +294,8 @@ def intersection_number(
         raise WrongTotalDegree(
             f"|alpha| = {alpha.total}, expected n-3 = {n - 3}"
         )
-    reduced = conv.reduce_multiindex(alpha, n).exponents
-    fold, scale = _lifted_fold(MultiPoly._from_terms(len(reduced), {reduced: Fraction(1)}), conv, n)
-    return Fraction((-1) ** n * _read_walsh(volume_polynomial(sig).walsh, fold), 2 * scale)
+    fold = _fold(conv.reduce_multiindex(alpha, n).exponents, conv.affine_index)
+    return Fraction((-1) ** n * _read_walsh(volume_polynomial(sig).walsh, fold), 2)
 
 
 def wall_jump(

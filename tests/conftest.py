@@ -5,9 +5,9 @@ from __future__ import annotations
 import random
 from collections import deque
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import add
 from typing import Optional, Sequence
 
@@ -471,6 +471,35 @@ def apply_convention(conv: Convention, poly: MultiPoly) -> MultiPoly:
         return poly
     replacement = 1 - MultiPoly.linear_form([1] * conv.nvars(poly.nvars))
     return eliminate_variable(poly, j - 1, replacement)
+
+
+def lift(conv: Convention, poly: MultiPoly, n: int) -> MultiPoly:
+    """The homogeneous class that a class in the convention stands for: under
+    AFFINE(j), xᵢ − xⱼ substituted for yᵢ and expanded by binomials.  Oracle
+    for ``volume._fold``, which sums the lift by odd set in closed form."""
+    if poly.nvars != (expected := conv.nvars(n)):
+        raise ValueError(f"wrong variable count: class has {poly.nvars} variables, "
+                         f"convention expects {expected}")
+    j = conv.affine_index
+    if j is None:
+        return poly
+    acc: dict[Exponents, Fraction] = {}
+    for e, c in poly.terms():
+        for ks in product(*(range(b + 1) for b in e)):  # kᵢ of the eᵢ factors xᵢ − xⱼ give −xⱼ
+            alpha = tuple(b - k for b, k in zip(e, ks))
+            alpha = alpha[: j - 1] + (sum(ks),) + alpha[j - 1 :]
+            acc[alpha] = acc.get(alpha, 0) + (-1) ** sum(ks) * prod(map(comb, e, ks)) * c
+    return MultiPoly._from_terms(n, {e: c for e, c in acc.items() if c})
+
+
+def odd_set_sums(poly: MultiPoly) -> dict[int, Fraction]:
+    """The coefficients of poly summed by the mask of each term's odd exponents,
+    zero sums dropped."""
+    sums: dict[int, Fraction] = {}
+    for e, c in poly.terms():
+        odd = sum(1 << i for i, k in enumerate(e) if k % 2)
+        sums[odd] = sums.get(odd, 0) + c
+    return {s: c for s, c in sums.items() if c}
 
 
 @lru_cache(maxsize=1024)

@@ -36,17 +36,19 @@ from polygonspace import (
     signature,
     volume_polynomial,
 )
-from polygonspace import apolar
+from polygonspace import apolar, volume
 from polygonspace.apolar import _catalecticant, _columns
 from polygonspace.ratpoly import matrix_rank, monomial_exponents, rank_and_kernel, sparse_kernel
-from polygonspace.volume import _monomials, _walsh
+from polygonspace.volume import _fold, _lifted_fold, _monomials, _walsh
 
 from conftest import (
     apply_convention,
     expanded_betti,
     expanded_catalecticant,
     hausmann_knutson_betti,
+    lift,
     odd_perimeter_point,
+    odd_set_sums,
     oracle_presentation,
     oracle_is_zero,
     oracle_pairing,
@@ -568,18 +570,43 @@ def test_lift_is_the_chain_rule() -> None:
             for conv in map(Convention.affine, range(1, n + 1)):
                 for d in range(n - 1):
                     q = _random_class(rng, n - 1, d)
-                    lifted = conv.lift(q, n)
+                    lifted = lift(conv, q, n)
                     assert lifted.nvars == n and lifted.is_homogeneous() and lifted.degree() == d
                     assert apply_convention(conv, lifted.apply_operator(v)) == q.apply_operator(apply_convention(conv, v))
+    # the closed-form fold is the expanded lift summed by odd set, monomial by monomial and on classes
+    for n in range(3, 8):
+        for conv in [HOM, *map(Convention.affine, range(1, n + 1))]:
+            nvars, j = conv.nvars(n), conv.affine_index
+            for d in range(n - 2):
+                for beta in monomial_exponents(nvars, d):
+                    fold = _fold(beta, j)
+                    assert len({s for _, s in fold}) == len(fold), (n, conv, beta)
+                    assert {s: c for c, s in fold} == odd_set_sums(lift(conv, MultiPoly(nvars, {beta: 1}), n))
+                q = _random_class(rng, nvars, d)
+                fold, scale = _lifted_fold(q, conv, n)
+                assert {s: F(c, scale) for c, s in fold if c} == odd_set_sums(lift(conv, q, n)), (n, conv, q)
     q = _random_class(rng, 5, 2)
-    assert HOM.lift(q, 5) is q
-    assert Convention.affine(2).lift(var(4, 1) * var(4, 3), 5) == (var(5, 1) - var(5, 2)) * (var(5, 4) - var(5, 2))
+    assert lift(HOM, q, 5) is q
+    assert lift(Convention.affine(2), var(4, 1) * var(4, 3), 5) == (var(5, 1) - var(5, 2)) * (var(5, 4) - var(5, 2))
     with pytest.raises(ValueError, match="affine index 6 exceeds n = 5"):
-        Convention.affine(6).lift(q, 5)
-    with pytest.raises(ValueError, match="class has 5 variables, convention expects 4"):
-        AFF5.lift(q, 5)
-    with pytest.raises(ValueError, match="class has 4 variables, convention expects 5"):
-        HOM.lift(var(4, 1), 5)
+        _lifted_fold(q, Convention.affine(6), 5)
+    with pytest.raises(ValueError, match="^wrong variable count: class has 5 variables, convention expects 4$"):
+        _lifted_fold(q, AFF5, 5)
+    with pytest.raises(ValueError, match="^wrong variable count: class has 4 variables, convention expects 5$"):
+        _lifted_fold(var(4, 1), HOM, 5)
+
+
+def test_classes_above_the_top_degree_are_never_folded(monkeypatch, blowup_sig) -> None:
+    # the fold of y^β holds 2^(|β|−|B|), so a class of degree 99 must be dropped, not lifted
+    calls = []
+    fold = volume._fold
+    monkeypatch.setattr(volume, "_fold", lambda beta, j: calls.append(beta) or fold(beta, j))
+    assert is_zero_class(cls(var(5, 1) ** 3), blowup_sig, HOM)
+    assert is_zero_class(cls(var(4, 1) ** 99), blowup_sig, AFF5)
+    assert poincare_pairing(cls(MultiPoly.zero(4)), cls(var(4, 1) ** 99), blowup_sig, AFF5) == 0
+    assert calls == []
+    is_zero_class(cls(var(4, 1) * var(4, 2)), blowup_sig, AFF5)
+    assert calls == [(1, 1, 0, 0)]
 
 
 def test_the_zero_class_pairs_to_zero(blowup_sig) -> None:
@@ -661,7 +688,7 @@ def test_membership_and_pairing_errors(blowup_sig) -> None:
         poincare_pairing(cls(var(4, 1)), cls(var(4, 1) ** 2), blowup_sig, AFF5)
     # the lift and the displayed presentation check the index the same way
     with pytest.raises(ValueError, match="affine index 6 exceeds n = 5"):
-        aff6.lift(var(5, 1), 5)
+        _lifted_fold(var(5, 1), aff6, 5)
     with pytest.raises(ValueError, match="affine index 6 exceeds n = 5"):
         apply_convention(aff6, volume_polynomial(blowup_sig).v)
     with pytest.raises(ValueError, match="affine index 6 exceeds n = 5"):

@@ -143,8 +143,8 @@ def test_pairing_rejects_eliminated_variable() -> None:
     "j, message", [(0, "affine index must be 1-based, got 0"), (6, "affine index 6 exceeds n = 5")]
 )
 def test_affine_index_outside_the_sides_exits_4(j: int, message: str) -> None:
-    # the lift checks the index for betti, ring, intersect and pairing, and
-    # presented_volume for the displayed volume polynomial
+    # Convention.nvars checks the index on every route: the catalecticant
+    # columns, the multi-index, the class fold and the displayed volume
     for argv in (
         ["volume", "--r", BLOWUP],
         ["intersect", "--r", BLOWUP, "--alpha", "0,0,2,0,0"],
