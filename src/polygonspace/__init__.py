@@ -40,7 +40,6 @@ from polygonspace.chambers import (
     enumerate_chambers,
     epsilon,
     external_representative,
-    is_generic,
     nudge_within_chamber,
     representative,
     segment_crossings,
@@ -58,7 +57,6 @@ from polygonspace.volume import (
     NotAdjacent,
     VolumePolynomial,
     WrongTotalDegree,
-    derivative_polynomial,
     intersection_number,
     presented_volume,
     volume_polynomial,

@@ -30,7 +30,6 @@ from polygonspace.volume import (
     _monomials,
     _lifted_fold,
     _read_walsh,
-    _walsh,
     volume_polynomial,
 )
 
@@ -145,7 +144,7 @@ def betti_numbers(sig: ChamberSignature, conv: Convention) -> tuple[int, ...]:
     """
     if sig.is_empty():
         raise EmptyChamber(f"no cohomology: {sig} has a long singleton")
-    w, n = _walsh(sig), sig.n
+    w, n = volume_polynomial(sig).walsh, sig.n
     return tuple(_betti(w, n, d, conv) for d in range(n - 2))
 
 
@@ -337,7 +336,7 @@ def presentation(sig: ChamberSignature, conv: Convention) -> ApolarPresentation:
     """
     if sig.is_empty():
         raise EmptyChamber(f"no cohomology: {sig} has a long singleton")
-    n, w, nvars, hom = sig.n, _walsh(sig), conv.nvars(sig.n), conv.is_homogeneous
+    n, w, nvars, hom = sig.n, volume_polynomial(sig).walsh, conv.nvars(sig.n), conv.is_homogeneous
     ranks, generators, prev = [], [], []
     for d in range(n - 1):
         if d == n - 2 >= 2 and hom and ranks[1] >= 2:

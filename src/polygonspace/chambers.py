@@ -308,12 +308,6 @@ def _generic_sums(r: LengthVector, den: int | None = None) -> list[int]:
     return sums
 
 
-def is_generic(r: LengthVector) -> bool:
-    """True iff no ε_I(r) vanishes over the 2^(n-1)-1 complementary pairs."""
-    sums = _subset_sums(_scaled(r.lengths)[0])
-    return sums[-1] % 2 == 1 or sums[-1] // 2 not in sums
-
-
 @dataclass(frozen=True)
 class ChamberSignature:
     """A chamber, held as the bitset of all its short sets (see _selectors).
@@ -353,17 +347,11 @@ class ChamberSignature:
     @cached_property
     def maximal_shorts(self) -> tuple[IndexSet, ...]:
         """The inclusion-maximal short sets, canonically sorted."""
-        return tuple(self._sets(_maximal(self.n, self.shorts)))
+        n = self.n
+        return tuple(sorted((IndexSet(n, m) for m in _members(_maximal(n, self.shorts))), key=lambda s: s.sort_key))
 
     def is_short(self, I: IndexSet) -> bool:
         return bool(self.shorts >> I.mask & 1)
-
-    def _sets(self, bits: int) -> list[IndexSet]:
-        return sorted((IndexSet(self.n, m) for m in _members(bits)), key=lambda s: s.sort_key)
-
-    def long_sets(self) -> list[IndexSet]:
-        """All proper nonempty long sets, canonically sorted."""
-        return self._sets(_proper(self.n) & ~self.shorts)
 
     def is_empty(self) -> bool:
         """True iff some singleton is long (polygon space empty)."""

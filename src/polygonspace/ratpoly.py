@@ -187,12 +187,6 @@ class MultiPoly:
         degrees = {sum(e) for e, _ in self._terms}
         return len(degrees) <= 1
 
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial (errors if degree > 0)."""
-        if self.degree() > 0:
-            raise ValueError("polynomial is not constant")
-        return self._terms[0][1] if self._terms else Fraction(0)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from polygonspace.chambers import ChamberSignature, IndexSet, LengthVector, _members, _proper, signature
@@ -111,20 +111,6 @@ class Convention:
         return MultiIndex(alpha.exponents[: j - 1] + alpha.exponents[j:])
 
 
-@dataclass(frozen=True)
-class VolumePolynomial:
-    """The chamber's volume polynomial, homogeneous of degree n−3 in r₁..rₙ.
-
-    The true volume is (2π)^(n−3) times v (`SCALE_NOTE`); identically zero
-    on empty chambers.  `walsh` is the Walsh table W that v was built from
-    (see `volume_polynomial`), the one table its derivatives are read from.
-    """
-
-    chamber: ChamberSignature
-    v: MultiPoly
-    walsh: list[int] = field(repr=False, compare=False)
-
-
 @lru_cache(maxsize=None)
 def _monomials(n: int, d: int) -> tuple[tuple[Exponents, ...], tuple[int, ...]]:
     """The degree-d monomials in n variables, graded-lex, and their odd sets
@@ -135,7 +121,7 @@ def _monomials(n: int, d: int) -> tuple[tuple[Exponents, ...], tuple[int, ...]]:
 
 def _walsh(sig: ChamberSignature) -> list[int]:
     """W(m) = Σ_I σ_I (−1)^{|m∩I|}, the Walsh–Hadamard transform of the signed
-    indicator I ↦ σ_I of the long sets and the full set (see volume_polynomial)."""
+    indicator I ↦ σ_I of the long sets and the full set (see `VolumePolynomial.v`)."""
     n = sig.n
     size = 1 << n
     w = [0] * size
@@ -152,38 +138,53 @@ def _walsh(sig: ChamberSignature) -> list[int]:
     return w
 
 
-# A rebuild takes 0.2-0.4 ms at n = 7 and 1-7 ms at n = 9 once the first
-# build has made the monomial table (five random chambers each, 2-core x86,
-# Python 3.11), so a bounded cache loses little and keeps a long run from
-# holding the polynomial of every chamber it has met.
+@dataclass(frozen=True)
+class VolumePolynomial:
+    """The chamber's volume polynomial, homogeneous of degree n−3 in r₁..rₙ.
+
+    The record is the chamber and its Walsh table W (`_walsh`), which every
+    class, pairing and catalecticant is read from; the expanded v is built
+    from W on first read.  The true volume is (2π)^(n−3) times v (`SCALE_NOTE`).
+    """
+
+    chamber: ChamberSignature
+    walsh: list[int] = field(repr=False, compare=False)
+
+    @cached_property
+    def v(self) -> MultiPoly:
+        """The signed sum of ε_I^{n−3} over long sets, full set included.
+
+        v = −1/(2(n−3)!) · Σ_I σ_I ε_I^{n−3} over the long sets I and the full
+        set, with σ_I = (−1)^{n−|I|}; ε_I is the linear form
+        Σ_{i∈I} rᵢ − Σ_{i∉I} rᵢ, and the full set contributes ε = perimeter
+        with sign +1.  Expanding each power, the coefficient of r^e is
+        −S(m)/(2·∏eᵢ!), where m is the mask of the odd exponents of e and
+        S(m) = Σ_I σ_I (−1)^{|m∖I|}.  Since |m| ≡ n−3 (mod 2),
+        S(m) = (−1)^{n−3}·W(m), with W the Walsh–Hadamard transform of the
+        signed indicator I ↦ σ_I: O(n·2ⁿ) integer work and one pass over the
+        monomials.  Empty chambers cancel to the zero polynomial.
+        """
+        n, w = self.chamber.n, self.walsh
+        deg = n - 3
+        sign = 1 if deg % 2 else -1  # −(−1)^{n−3}
+        factorials = [math.factorial(k) for k in range(deg + 1)]
+        terms = {}
+        for e, odd in zip(*_monomials(n, deg)):
+            total = w[odd]
+            if total:
+                terms[e] = Fraction(sign * total, 2 * math.prod(factorials[k] for k in e))
+        return MultiPoly._from_terms(n, terms)
+
+
+# A rebuild is one `_walsh`, 0.1 ms at n = 7 and 5 ms at n = 12 (2-core x86, Python
+# 3.11): a bounded cache loses little and keeps a long run from holding every table.
 VOLUME_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=VOLUME_CACHE_SIZE)
 def volume_polynomial(sig: ChamberSignature) -> VolumePolynomial:
-    """The signed sum of ε_I^{n−3} over long sets, full set included.
-
-    v = −1/(2(n−3)!) · Σ_I σ_I ε_I^{n−3} over the long sets I and the full
-    set, with σ_I = (−1)^{n−|I|}; ε_I is the linear form
-    Σ_{i∈I} rᵢ − Σ_{i∉I} rᵢ, and the full set contributes ε = perimeter with
-    sign +1.  Expanding each power, the coefficient of r^e is
-    −S(m)/(2·∏eᵢ!), where m is the mask of the odd exponents of e and
-    S(m) = Σ_I σ_I (−1)^{|m∖I|}.  Since |m| ≡ n−3 (mod 2),
-    S(m) = (−1)^{n−3}·W(m), with W the Walsh–Hadamard transform of the
-    signed indicator I ↦ σ_I: O(n·2ⁿ) integer work and one pass over the
-    monomials.  Empty chambers cancel to the zero polynomial.
-    """
-    n = sig.n
-    deg = n - 3
-    w = _walsh(sig)
-    sign = 1 if deg % 2 else -1  # −(−1)^{n−3}
-    factorials = [math.factorial(k) for k in range(deg + 1)]
-    terms = {}
-    for e, odd in zip(*_monomials(n, deg)):
-        total = w[odd]
-        if total:
-            terms[e] = Fraction(sign * total, 2 * math.prod(factorials[k] for k in e))
-    return VolumePolynomial(sig, MultiPoly._from_terms(n, terms), w)
+    """The chamber's record: its signature and Walsh table, v unexpanded."""
+    return VolumePolynomial(sig, _walsh(sig))
 
 
 Fold = tuple[tuple[int, int], ...]
@@ -238,7 +239,7 @@ def _lifted_fold(poly: MultiPoly, conv: Convention, n: int) -> tuple[Fold, int]:
 
 
 def _read_walsh(w: list[int], fold: Fold, t: int = 0) -> int:
-    """Σ_S q̃_S·W(S △ T) over the fold's pairs (q̃_S, S): by volume_polynomial's
+    """Σ_S q̃_S·W(S △ T) over the fold's pairs (q̃_S, S): by `VolumePolynomial.v`'s
     coefficient formula, and ∂^α x^e = e!/(e−α)!·x^{e−α}, Q(∂)v has
     coefficient s·Σ/(2·D·γ!) at any x^γ with odd(γ) = T, s = (−1)ⁿ."""
     return sum(c * w[s ^ t] for c, s in fold)
@@ -269,14 +270,6 @@ def presented_volume(vp: VolumePolynomial, conv: Convention) -> MultiPoly:
 def volume_value(r: LengthVector) -> Fraction:
     """vol(M(r)) / (2π)^{n−3} at a generic r; zero iff the space is empty."""
     return volume_polynomial(signature(r)).v.evaluate(tuple(r))
-
-
-def derivative_polynomial(
-    vp: VolumePolynomial, alpha: MultiIndex, conv: Convention
-) -> MultiPoly:
-    """∂^α of the chamber polynomial presented in the given convention."""
-    reduced = conv.reduce_multiindex(alpha, vp.chamber.n)
-    return presented_volume(vp, conv).differentiate(reduced)
 
 
 def intersection_number(

@@ -199,16 +199,23 @@ def _twice_factorials(n: int) -> dict[tuple[int, ...], int]:
     return {e: 2 * math.prod(map(math.factorial, e)) for e in monomial_exponents(n, n - 3)}
 
 
-def _jump_agrees(sig0: ChamberSignature, sig1: ChamberSignature, exit_mask: int) -> bool:
+def _integer_table(sig: ChamberSignature) -> dict[tuple[int, ...], int] | None:
+    """The table w_e = 2·e!·c_e of the chamber's expanded polynomial, divided
+    exactly: None if the denominator of some c_e does not divide 2·e!."""
+    twice, table = _twice_factorials(sig.n), {}
+    for e, c in volume_polynomial(sig).v.terms():
+        table[e], rest = divmod(twice.get(e, 1) * c.numerator, c.denominator)
+        if rest:
+            return None
+    return table
+
+
+def _jump_agrees(w0: dict[tuple[int, ...], int] | None, sig1: ChamberSignature, exit_mask: int) -> bool:
     """v₁ − v₀ is the closed form of exit_mask: w¹ − w⁰ = 2·wˣ on the integer
-    tables w = 2·e!·c_e of the expanded polynomials, divided exactly: a
-    coefficient whose denominator does not divide 2·e! fails."""
-    x, twice = _expected_table(sig0.n, exit_mask), _twice_factorials(sig0.n)
-    w0, w1 = ({e: divmod(twice.get(e, 1) * c.numerator, c.denominator) for e, c in volume_polynomial(s).v.terms()}
-              for s in (sig0, sig1))
-    if not w0.keys() <= x.keys() >= w1.keys() or any(rest for _, rest in (*w0.values(), *w1.values())):
-        return False
-    return all(w1.get(e, (0,))[0] - w0.get(e, (0,))[0] == 2 * w for e, w in x.items())
+    tables of the expanded polynomials (`_integer_table`), w0 that of v₀."""
+    x, w1 = _expected_table(sig1.n, exit_mask), _integer_table(sig1)
+    return (w0 is not None and w1 is not None and w0.keys() <= x.keys() >= w1.keys()
+            and all(w1.get(e, 0) - w0.get(e, 0) == 2 * w for e, w in x.items()))
 
 
 @dataclass(frozen=True)
@@ -242,7 +249,8 @@ def validate_chamber(
     vp = volume_polynomial(sig)  # its Walsh table gives the apolar Betti numbers
     betti_a = tuple(catalecticant_rank(vp, d, Convention.homogeneous()) for d in range(sig.n - 2))
     betti_p = betti_via_path(rep)
-    checks = [(I, _jump_agrees(sig, sig.flip(I), I.mask))
+    own = _integer_table(sig)  # built once for all the chamber's walls
+    checks = [(I, _jump_agrees(own, sig.flip(I), I.mask))
               for I in (short.complement for short in sig.maximal_shorts)]
     agree = betti_a == betti_p
     return ChamberValidation(

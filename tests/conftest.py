@@ -18,6 +18,7 @@ from polygonspace.chambers import (
     ChamberNode,
     ChamberSignature,
     DegenerateWall,
+    IndexSet,
     LengthVector,
     NonGenericSegment,
     SingularLength,
@@ -217,6 +218,20 @@ def short_masks(r: LengthVector) -> set[int]:
     return out
 
 
+def is_generic_point(r: LengthVector) -> bool:
+    """No epsilon_I(r) vanishes, one Fraction sum per subset."""
+    return all(
+        2 * sum((x for i, x in enumerate(r) if mask >> i & 1), Fraction(0)) != r.perimeter
+        for mask in range(1, (1 << r.n) - 1)
+    )
+
+
+def long_sets(sig: ChamberSignature) -> list[IndexSet]:
+    """The proper nonempty index sets that ``is_short`` rejects, by mask."""
+    n = sig.n
+    return [IndexSet(n, m) for m in range(1, (1 << n) - 1) if not sig.is_short(IndexSet(n, m))]
+
+
 def maximal_masks(n: int, shorts: set[int]) -> set[int]:
     """Members of a family with no member one index larger containing them."""
     return {
@@ -288,7 +303,7 @@ def signed_power_sum(sig: ChamberSignature) -> MultiPoly:
     n = sig.n
     deg = n - 3
     total = MultiPoly.linear_form([1] * n) ** deg  # full-set term, sign +1
-    for index_set in sig.long_sets():
+    for index_set in long_sets(sig):
         form = MultiPoly.linear_form(
             [1 if index_set.mask >> i & 1 else -1 for i in range(n)]
         )
@@ -429,7 +444,9 @@ def oracle_pairing(
     a: MultiPoly, b: MultiPoly, sig: ChamberSignature, conv: Convention
 ) -> Fraction:
     """(a*b)(d)v by ``apply_operator``, a constant.  Oracle for poincare_pairing."""
-    return (a * b).apply_operator(presented(sig, conv)).constant_value()
+    value = (a * b).apply_operator(presented(sig, conv))
+    assert value.degree() <= 0, "the pairing of complementary degrees is a constant"
+    return value.coefficient((0,) * value.nvars)
 
 
 # -- the expanded route: the chamber polynomial presented in a convention,

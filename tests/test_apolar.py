@@ -36,7 +36,7 @@ from polygonspace import (
     signature,
     volume_polynomial,
 )
-from polygonspace import apolar, volume
+from polygonspace import volume
 from polygonspace.apolar import _catalecticant, _columns
 from polygonspace.ratpoly import matrix_rank, monomial_exponents, rank_and_kernel, sparse_kernel
 from polygonspace.volume import _fold, _lifted_fold, _monomials, _walsh
@@ -218,8 +218,10 @@ def test_walsh_kernels_match_the_hankel_kernels(graph5) -> None:
 
 def test_a_wrong_walsh_sign_is_caught(graph5, monkeypatch) -> None:
     # flipping one σ_I of the signed indicator adds −2σ_I·(−1)^|m∩I| to
-    # W(m), by linearity; the Betti numbers read from W must then disagree
-    # with the Hausmann–Knutson count on some chamber
+    # W(m), by linearity; the Betti numbers read from W, by betti_numbers and
+    # by presentation alike, must then disagree with the Hausmann–Knutson
+    # count on some chamber.  W is computed once per chamber, by the cached
+    # volume_polynomial, so the cache is cleared around the mutation.
     def flipped(sig):
         n = sig.n
         I = min(m for m in range(1, 1 << n) if not sig.shorts >> m & 1)
@@ -229,8 +231,14 @@ def test_a_wrong_walsh_sign_is_caught(graph5, monkeypatch) -> None:
     nodes = [node for node in graph5.nodes if not node.empty]
     expected = [hausmann_knutson_betti(5, short_masks(node.representative)) for node in nodes]
     assert [betti_numbers(node.signature, HOM) for node in nodes] == expected
-    monkeypatch.setattr(apolar, "_walsh", flipped)
-    assert sum(betti_numbers(node.signature, HOM) != hk for node, hk in zip(nodes, expected)) > 0
+    assert [presentation(node.signature, HOM).betti for node in nodes] == expected
+    volume_polynomial.cache_clear()
+    monkeypatch.setattr(volume, "_walsh", flipped)
+    try:
+        assert sum(betti_numbers(node.signature, HOM) != hk for node, hk in zip(nodes, expected)) > 0
+        assert sum(presentation(node.signature, HOM).betti != hk for node, hk in zip(nodes, expected)) > 0
+    finally:
+        volume_polynomial.cache_clear()
 
 
 # ----------------------------------------------------------------- annihilator
@@ -557,7 +565,7 @@ def test_lifted_route_matches_the_expanded_route(graph5) -> None:
             for beta in monomial_exponents(nvars, n - 3)[:: 1 if n == 5 else 7]:
                 j = conv.affine_index
                 alpha = MultiIndex(beta if j is None else beta[: j - 1] + (0,) + beta[j - 1 :])
-                expected = v_aff.differentiate(beta).constant_value()
+                expected = v_aff.differentiate(beta).coefficient((0,) * nvars)
                 assert intersection_number(sig, alpha, conv) == expected, (sig, conv, alpha)
 
 

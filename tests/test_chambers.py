@@ -21,7 +21,6 @@ from polygonspace import (
     enumerate_chambers,
     epsilon,
     external_representative,
-    is_generic,
     nudge_within_chamber,
     representative,
     segment_crossings,
@@ -33,6 +32,8 @@ from polygonspace.chambers import _complete, _max_margin_point, _maximal, _membe
 from conftest import (
     BLOWUP_R,
     CP2_R,
+    is_generic_point,
+    long_sets,
     maximal_masks,
     odd_perimeter_point,
     reference_canonical_form,
@@ -116,7 +117,7 @@ def test_epsilon_antisymmetry() -> None:
 
 
 def test_long_sets_of_cp2_chamber() -> None:
-    longs = signature(CP2_R).long_sets()
+    longs = set(long_sets(signature(CP2_R)))
     expected = (
         [iset(5, 3, j) for j in (1, 2, 4, 5)]
         + [
@@ -125,16 +126,15 @@ def test_long_sets_of_cp2_chamber() -> None:
         ]
         + [iset(5, *sorted(set(range(1, 6)) - {j})) for j in range(1, 6)]
     )
-    assert set(longs) == set(expected)
+    assert longs == set(expected)
     assert len(longs) == 15
-    assert longs == sorted(longs, key=lambda s: s.sort_key)
 
 
 def test_long_sets_triangle_and_empty() -> None:
     triangle = LengthVector.parse("1,1,1")
-    assert signature(triangle).long_sets() == [iset(3, 1, 2), iset(3, 1, 3), iset(3, 2, 3)]
+    assert long_sets(signature(triangle)) == [iset(3, 1, 2), iset(3, 1, 3), iset(3, 2, 3)]
     spear = LengthVector.parse("10,1,1,1")
-    assert iset(4, 1) in signature(spear).long_sets()
+    assert not signature(spear).is_short(iset(4, 1))
     assert signature(spear).is_empty()
     assert not signature(LengthVector.parse("2,1,1,1")).is_empty()
 
@@ -146,11 +146,8 @@ def test_singular_inputs_raise_with_witness() -> None:
     assert "epsilon vanishes for I = {1,2}" in str(info.value)
 
     with pytest.raises(SingularLength) as info:
-        signature(LengthVector.parse("1,2,3")).long_sets()
+        signature(LengthVector.parse("1,2,3"))
     assert info.value.index_set == iset(3, 3)
-
-    assert not is_generic(LengthVector.parse("1,1,1,1"))
-    assert is_generic(CP2_R)
 
 
 # ---------------------------------------------------------------- signatures
@@ -223,8 +220,8 @@ def test_signature_matches_brute_force_maximality() -> None:
         assert list(sig.maximal_shorts) == sorted(sig.maximal_shorts, key=lambda s: (s.p, s.indices))
         assert sig.is_external() == any(1 << i in maximal_masks(n, shorts) for i in range(n))
         assert {m for m in range(1 << n) if sig.shorts >> m & 1} == shorts
-        assert {s.mask for s in sig.long_sets()} == set(range(1, (1 << n) - 1)) - shorts
-        assert [s.mask for s in signature(r).long_sets()] == [s.mask for s in sig.long_sets()]
+        assert {s.mask for s in long_sets(sig)} == set(range(1, (1 << n) - 1)) - shorts
+        assert signature(r).shorts == sig.shorts
         assert sig.is_empty() == signature(r).is_empty() == any(1 << i not in shorts for i in range(n))
 
 
@@ -237,7 +234,7 @@ def test_signature_validation_rejects_bad_families_n6() -> None:
     with pytest.raises(ValueError, match="do not classify the pair"):
         ChamberSignature.from_lists(6, [ix for ix in lists if ix != top])
     # a long set holding no short set: listing it makes both of its pair short
-    free = next(L for L in sig.long_sets() if not any(s.is_subset_of(L) for s in sig.maximal_shorts))
+    free = next(L for L in long_sets(sig) if not any(s.is_subset_of(L) for s in sig.maximal_shorts))
     with pytest.raises(ValueError, match="do not classify the pair"):
         ChamberSignature.from_lists(6, lists + [list(free.indices)])
     with pytest.raises(ValueError, match="duplicate"):
@@ -553,7 +550,7 @@ def test_segment_crossings_reverse_symmetry() -> None:
         scale = a.perimeter
         b = random_generic(rng, n)
         b = LengthVector.from_values([x * scale / b.perimeter for x in b])
-        if not is_generic(b):
+        if not is_generic_point(b):
             continue
         try:
             forward = segment_crossings(a, b)
@@ -613,7 +610,7 @@ def test_wall_orientation_is_long_before() -> None:
         a = random_generic(rng, 4)
         b = random_generic(rng, 4)
         b = LengthVector.from_values([x * a.perimeter / b.perimeter for x in b])
-        if not is_generic(b):
+        if not is_generic_point(b):
             continue
         try:
             crossings = segment_crossings(a, b)

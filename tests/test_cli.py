@@ -19,6 +19,7 @@ from conftest import apply_convention, direct_volume_value
 CP2 = "3/20,3/20,2/5,3/20,3/20"
 BLOWUP = "3/60,11/60,24/60,11/60,11/60"
 R7 = "125/893,8/893,100/893,111/893,156/893,196/893,197/893"
+R12 = "2275,1523,2519,1734,2628,2414,2930,2723,2515,2335,2888,2085"
 
 
 def invoke(argv: list[str]) -> tuple[int, str, str]:
@@ -747,6 +748,33 @@ def test_ring_n7_regression() -> None:
     x1 = MultiPoly.variable(7, 0)
     value = x1.apply_operator(volume_polynomial(signature(r)).v).evaluate(points[1])
     assert direct_volume_value(r, operator=x1, at=points[1]) == value != 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["intersect", "--r", R12, "--alpha", "4,5,0,0,0,0,0,0,0,0,0,0"],
+    ["pairing", "--r", R12, "--a", "x1^4", "--b", "x2^3*x3^2"],
+    ["pd-class", "--set", "1,2,3", "--r", R12],
+    ["betti", "--r", R7, "--method", "apolar"],
+    ["ring", "--r", R7],
+])
+def test_walsh_reads_expand_no_polynomial(argv: list[str]) -> None:
+    # these commands read the chamber's Walsh table alone: the record they
+    # cached holds no expanded v afterwards
+    volume_polynomial.cache_clear()
+    invoke_json(argv)
+    built = volume_polynomial.cache_info().misses
+    vp = volume_polynomial(signature(LengthVector.parse(argv[argv.index("--r") + 1])))
+    assert volume_polynomial.cache_info().misses == built  # the command's own record
+    assert "v" not in vars(vp)
+
+
+def test_the_volume_display_expands_v_once() -> None:
+    volume_polynomial.cache_clear()
+    invoke_json(["volume", "--r", R7])
+    vp = volume_polynomial(signature(LengthVector.parse(R7)))
+    assert "v" in vars(vp)
+    assert vp.v is vp.v
+    assert vp == type(vp)(vp.chamber, vp.walsh) and hash(vp) == hash(type(vp)(vp.chamber, vp.walsh))
 
 
 # -------------------------------------------------------------- presentation

@@ -6,6 +6,7 @@ import io
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from math import factorial
 
 import pytest
@@ -20,7 +21,6 @@ from polygonspace import (
     MultiPoly,
     NonGenericSegment,
     NotAdjacent,
-    VolumePolynomial,
     adjacent_representative,
     betti_delta,
     betti_numbers,
@@ -367,7 +367,7 @@ def test_integer_jump_check_agrees_with_wall_jump(graph5) -> None:
             flipped, jump = wall_jump(sig0, sig1)
             assert flipped == exit_set
             for mask in (exit_set.mask, exit_set.complement.mask):
-                agrees = wallcross._jump_agrees(sig0, sig1, mask)
+                agrees = wallcross._jump_agrees(wallcross._integer_table(sig0), sig1, mask)
                 assert agrees == (jump == closed_form_jump(5, mask))
                 assert agrees == (mask == exit_set.mask)
 
@@ -377,13 +377,17 @@ def test_jump_check_divides_exactly(monkeypatch, cp2_sig, blowup_sig) -> None:
     # 2/3 instead of 1/2 would read 2·(4 // 3) = 2, the true value, if the
     # division were floored, so only an exact one fails the check here
     mask = cp2_sig.adjacent_pair_with(blowup_sig).mask
-    assert wallcross._jump_agrees(cp2_sig, blowup_sig, mask)
+    assert wallcross._jump_agrees(wallcross._integer_table(cp2_sig), blowup_sig, mask)
+    assert wallcross._jump_agrees(wallcross._integer_table(blowup_sig), cp2_sig, (1 << 5) - 1 ^ mask)
     true_vp = wallcross.volume_polynomial
     vp = true_vp(cp2_sig)
     assert vp.v.coefficient((2, 0, 0, 0, 0)) == Fraction(1, 2)
-    off = VolumePolynomial(cp2_sig, MultiPoly(5, {**dict(vp.v.terms()), (2, 0, 0, 0, 0): Fraction(2, 3)}), vp.walsh)
+    # the check reads only the expanded v of the record, so a stub holding v stands in for it
+    off = SimpleNamespace(v=MultiPoly(5, {**dict(vp.v.terms()), (2, 0, 0, 0, 0): Fraction(2, 3)}))
     monkeypatch.setattr(wallcross, "volume_polynomial", lambda sig: off if sig == cp2_sig else true_vp(sig))
-    assert not wallcross._jump_agrees(cp2_sig, blowup_sig, mask)
+    assert wallcross._integer_table(cp2_sig) is None
+    assert not wallcross._jump_agrees(wallcross._integer_table(cp2_sig), blowup_sig, mask)
+    assert not wallcross._jump_agrees(wallcross._integer_table(blowup_sig), cp2_sig, (1 << 5) - 1 ^ mask)
 
 
 def test_jump_checks_name_exit_walls(cp2_sig) -> None:
