@@ -175,6 +175,20 @@ class VolumePolynomial:
                 terms[e] = Fraction(sign * total, 2 * math.prod(factorials[k] for k in e))
         return MultiPoly._from_terms(n, terms)
 
+    @cached_property
+    def integer_table(self) -> list[int] | None:
+        """w_e = 2·e!·c_e over the coefficients c_e of the expanded v, in
+        `_monomials(n, n−3)` order, each by exact division: None if one leaves
+        a remainder or v has a term outside that domain (the wall-jump check)."""
+        n, terms, table = self.chamber.n, dict(self.v.terms()), []
+        for e in _monomials(n, n - 3)[0]:
+            c = terms.pop(e, 0)
+            w, rest = divmod(2 * math.prod(map(math.factorial, e)) * c.numerator, c.denominator)
+            if rest:
+                return None
+            table.append(w)
+        return None if terms else table
+
 
 # A rebuild is one `_walsh`, 0.1 ms at n = 7 and 5 ms at n = 12 (2-core x86, Python
 # 3.11): a bounded cache loses little and keeps a long run from holding every table.

@@ -13,10 +13,10 @@ that route against the apolarity route.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub
 
 from polygonspace.apolar import (
     CohomologyClass,
@@ -31,14 +31,14 @@ from polygonspace.chambers import (
     IndexSet,
     LengthVector,
     Wall,
+    _N_LIMIT,
     _members,
     _proper,
     _selectors,
     representative,
     signature,
 )
-from polygonspace.ratpoly import monomial_exponents
-from polygonspace.volume import Convention, NotAdjacent, volume_polynomial
+from polygonspace.volume import Convention, NotAdjacent, _monomials, volume_polynomial
 
 
 class BadPartition(ValueError):
@@ -183,39 +183,21 @@ def betti_via_path(r: LengthVector, anchor_index: int | None = None) -> tuple[in
     return tuple(betti)
 
 
-@lru_cache(maxsize=64)  # one entry per exit set: 2^6 cover a whole walk at n <= 6
-def _expected_table(n: int, exit_mask: int) -> dict[tuple[int, ...], int]:
-    """The table e!·c_e (all integers) of (−1)^q/(n−3)!·ε^(n−3), ε the form of the
-    exit set: x^e has coefficient (−1)^q·∏ sᵢ^eᵢ/∏ eᵢ!, sᵢ = ±1 the sign of xᵢ
-    in ε (−1 off the exit set), so w_e = (−1)^(q + Σ_{i∉I} eᵢ)."""
+@lru_cache(maxsize=1 << _N_LIMIT)  # one entry per exit set: the 2^n − 2 of a whole walk at n <= _N_LIMIT
+def _expected_table(n: int, exit_mask: int) -> list[int]:
+    """Twice the table e!·c_e (all integers) of (−1)^q/(n−3)!·ε^(n−3), ε the form of
+    the exit set, in `_monomials(n, n−3)` order: x^e has coefficient
+    (−1)^q·∏ sᵢ^eᵢ/∏ eᵢ!, sᵢ = ±1 the sign of xᵢ in ε (−1 off the exit set), so
+    e!·c_e = (−1)^(q + Σ_{i∉I} eᵢ), whose parity is that of the odd exponents off I."""
     minus, q = ~exit_mask, n - exit_mask.bit_count()
-    return {e: (-1) ** (q + sum(x for i, x in enumerate(e) if minus >> i & 1))
-            for e in monomial_exponents(n, n - 3)}
+    return [2 * (-1) ** (q + (odd & minus).bit_count()) for odd in _monomials(n, n - 3)[1]]
 
 
-@lru_cache(maxsize=None)
-def _twice_factorials(n: int) -> dict[tuple[int, ...], int]:
-    """2·e! for the degree-(n−3) monomials x^e."""
-    return {e: 2 * math.prod(map(math.factorial, e)) for e in monomial_exponents(n, n - 3)}
-
-
-def _integer_table(sig: ChamberSignature) -> dict[tuple[int, ...], int] | None:
-    """The table w_e = 2·e!·c_e of the chamber's expanded polynomial, divided
-    exactly: None if the denominator of some c_e does not divide 2·e!."""
-    twice, table = _twice_factorials(sig.n), {}
-    for e, c in volume_polynomial(sig).v.terms():
-        table[e], rest = divmod(twice.get(e, 1) * c.numerator, c.denominator)
-        if rest:
-            return None
-    return table
-
-
-def _jump_agrees(w0: dict[tuple[int, ...], int] | None, sig1: ChamberSignature, exit_mask: int) -> bool:
+def _jump_agrees(w0: list[int] | None, sig1: ChamberSignature, exit_mask: int) -> bool:
     """v₁ − v₀ is the closed form of exit_mask: w¹ − w⁰ = 2·wˣ on the integer
-    tables of the expanded polynomials (`_integer_table`), w0 that of v₀."""
-    x, w1 = _expected_table(sig1.n, exit_mask), _integer_table(sig1)
-    return (w0 is not None and w1 is not None and w0.keys() <= x.keys() >= w1.keys()
-            and all(w1.get(e, 0) - w0.get(e, 0) == 2 * w for e, w in x.items()))
+    tables of the expanded polynomials (`VolumePolynomial.integer_table`), w0 that of v₀."""
+    w1 = volume_polynomial(sig1).integer_table
+    return w0 is not None and w1 is not None and list(map(sub, w1, w0)) == _expected_table(sig1.n, exit_mask)
 
 
 @dataclass(frozen=True)
@@ -240,7 +222,9 @@ def validate_chamber(
     agree; the jump of the volume polynomial across each bounding wall must
     equal (−1)^q/(n−3)!·ε_{I_p}^{n−3}, compared exponent by exponent on the
     integer tables w = 2·e!·c_e of the two chambers' expanded polynomials
-    and twice the closed form's.  Failures are recorded, not raised.
+    and twice the closed form's.  Each chamber's table is built once, on its
+    cached record, not once more per wall it borders.  Failures are
+    recorded, not raised.
     """
     if sig.is_empty():
         raise EmptyChamber(f"cannot validate the empty space: {sig}")
@@ -249,8 +233,7 @@ def validate_chamber(
     vp = volume_polynomial(sig)  # its Walsh table gives the apolar Betti numbers
     betti_a = tuple(catalecticant_rank(vp, d, Convention.homogeneous()) for d in range(sig.n - 2))
     betti_p = betti_via_path(rep)
-    own = _integer_table(sig)  # built once for all the chamber's walls
-    checks = [(I, _jump_agrees(own, sig.flip(I), I.mask))
+    checks = [(I, _jump_agrees(vp.integer_table, sig.flip(I), I.mask))
               for I in (short.complement for short in sig.maximal_shorts)]
     agree = betti_a == betti_p
     return ChamberValidation(

@@ -5,8 +5,9 @@ from __future__ import annotations
 import io
 import json
 import random
+from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
+from functools import cached_property
 from math import factorial
 
 import pytest
@@ -21,6 +22,7 @@ from polygonspace import (
     MultiPoly,
     NonGenericSegment,
     NotAdjacent,
+    VolumePolynomial,
     adjacent_representative,
     betti_delta,
     betti_numbers,
@@ -31,9 +33,11 @@ from polygonspace import (
     segment_crossings,
     signature,
     validate_chamber,
+    volume_polynomial,
     wall_jump,
 )
 from polygonspace import cli, wallcross
+from polygonspace.ratpoly import monomial_exponents
 
 from conftest import (
     BLOWUP_R,
@@ -333,8 +337,7 @@ def test_validate_detects_a_wrong_jump(monkeypatch, blowup_sig) -> None:
     def flipped_table(n, exit_mask):
         table = true_table(n, exit_mask)
         if exit_mask == bad_wall.mask:
-            e = next(iter(table))
-            table = {**table, e: -table[e]}
+            table = [-table[0], *table[1:]]
         return table
 
     monkeypatch.setattr(wallcross, "_expected_table", flipped_table)
@@ -367,7 +370,7 @@ def test_integer_jump_check_agrees_with_wall_jump(graph5) -> None:
             flipped, jump = wall_jump(sig0, sig1)
             assert flipped == exit_set
             for mask in (exit_set.mask, exit_set.complement.mask):
-                agrees = wallcross._jump_agrees(wallcross._integer_table(sig0), sig1, mask)
+                agrees = wallcross._jump_agrees(volume_polynomial(sig0).integer_table, sig1, mask)
                 assert agrees == (jump == closed_form_jump(5, mask))
                 assert agrees == (mask == exit_set.mask)
 
@@ -377,17 +380,51 @@ def test_jump_check_divides_exactly(monkeypatch, cp2_sig, blowup_sig) -> None:
     # 2/3 instead of 1/2 would read 2·(4 // 3) = 2, the true value, if the
     # division were floored, so only an exact one fails the check here
     mask = cp2_sig.adjacent_pair_with(blowup_sig).mask
-    assert wallcross._jump_agrees(wallcross._integer_table(cp2_sig), blowup_sig, mask)
-    assert wallcross._jump_agrees(wallcross._integer_table(blowup_sig), cp2_sig, (1 << 5) - 1 ^ mask)
     true_vp = wallcross.volume_polynomial
     vp = true_vp(cp2_sig)
+    assert wallcross._jump_agrees(vp.integer_table, blowup_sig, mask)
+    assert wallcross._jump_agrees(true_vp(blowup_sig).integer_table, cp2_sig, (1 << 5) - 1 ^ mask)
     assert vp.v.coefficient((2, 0, 0, 0, 0)) == Fraction(1, 2)
-    # the check reads only the expanded v of the record, so a stub holding v stands in for it
-    off = SimpleNamespace(v=MultiPoly(5, {**dict(vp.v.terms()), (2, 0, 0, 0, 0): Fraction(2, 3)}))
+    # a record of the same chamber whose expanded v is off in that one coefficient
+    off = VolumePolynomial(cp2_sig, vp.walsh)
+    vars(off)["v"] = MultiPoly(5, {**dict(vp.v.terms()), (2, 0, 0, 0, 0): Fraction(2, 3)})
     monkeypatch.setattr(wallcross, "volume_polynomial", lambda sig: off if sig == cp2_sig else true_vp(sig))
-    assert wallcross._integer_table(cp2_sig) is None
-    assert not wallcross._jump_agrees(wallcross._integer_table(cp2_sig), blowup_sig, mask)
-    assert not wallcross._jump_agrees(wallcross._integer_table(blowup_sig), cp2_sig, (1 << 5) - 1 ^ mask)
+    assert off.integer_table is None
+    assert not wallcross._jump_agrees(off.integer_table, blowup_sig, mask)
+    assert not wallcross._jump_agrees(true_vp(blowup_sig).integer_table, cp2_sig, (1 << 5) - 1 ^ mask)
+
+
+def test_jump_check_rejects_a_term_outside_the_top_degree(cp2_sig) -> None:
+    vp = volume_polynomial(cp2_sig)
+    off = VolumePolynomial(cp2_sig, vp.walsh)
+    vars(off)["v"] = vp.v + MultiPoly.variable(5, 0)
+    assert vp.integer_table is not None and off.integer_table is None
+
+
+def _count_builds(monkeypatch, name: str) -> Counter:
+    """Wrap the cached property `name` of VolumePolynomial to count its builds per chamber."""
+    built, build = Counter(), getattr(VolumePolynomial, name).func
+
+    def counted(vp):
+        built[vp.chamber] += 1
+        return build(vp)
+
+    prop = cached_property(counted)
+    prop.__set_name__(VolumePolynomial, name)
+    monkeypatch.setattr(VolumePolynomial, name, prop)
+    return built
+
+
+def test_validate_builds_each_table_once_per_record(monkeypatch) -> None:
+    # a whole-graph validate expands v and builds the integer table once per
+    # distinct chamber, itself or a neighbour across a wall; the tables live
+    # on the cached records, so clearing the cache builds them again
+    expanded, tables = _count_builds(monkeypatch, "v"), _count_builds(monkeypatch, "integer_table")
+    for run in (1, 2):
+        volume_polynomial.cache_clear()
+        assert cli.run(["validate", "--n", "5"], io.StringIO(), io.StringIO()) == 0
+        assert len(tables) == 81 and set(tables.values()) == {run}
+        assert expanded == tables
 
 
 def test_jump_checks_name_exit_walls(cp2_sig) -> None:
@@ -404,5 +441,5 @@ def test_expected_jump_cache_matches_linear_form_power(n: int) -> None:
         table, scale = hankel_table(closed_form_jump(n, mask))
         cached = wallcross._expected_table(n, mask)
         assert scale == 1
-        assert cached == table
+        assert cached == [2 * table[e] for e in monomial_exponents(n, n - 3)]
         assert wallcross._expected_table(n, mask) is cached
