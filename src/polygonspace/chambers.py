@@ -698,20 +698,25 @@ def enumerate_chambers(n: int, max_nodes: int | None = None) -> ChamberGraph:
     crossings would end in DegenerateWall; complete targets still may.
     """
     reps, found = _walk(n, max_nodes)
-    rank = _ranks(n)  # sorted ranks of the maximal short sets order as sort_key() does
-    ordered = sorted(((ChamberSignature(n, s), rep) for s, rep in reps.items()),
-                     key=lambda item: sorted(rank[m] for m in _members(_maximal(n, item[0].shorts))))
-    index_of = {sig.shorts: i for i, (sig, _) in enumerate(ordered)}
+    order = _node_order(n, reps)
+    index_of = {shorts: i for i, shorts in enumerate(order)}
     nodes = tuple(
         ChamberNode(sig, LengthVector(tuple(Fraction(x, den) for x in scaled)),
                     sig.is_empty(), sig.is_external())
-        for sig, (scaled, den) in ordered
+        for sig, (scaled, den) in ((ChamberSignature(n, s), reps[s]) for s in order)
     )
     # the target swaps the pair {I, Iᶜ}; one edge per chamber pair, so the
     # wall never decides the order
     full = (1 << n) - 1
     edges = sorted((index_of[a], index_of[a ^ (1 << mask | 1 << (full ^ mask))], mask) for a, mask in found)
     return ChamberGraph(n, nodes, tuple((a, b, Wall(IndexSet(n, mask))) for a, b, mask in edges))
+
+
+def _node_order(n: int, chambers: Iterable[int]) -> list[int]:
+    """The chambers' bitsets in node order: by the sorted ranks of their
+    maximal short sets, the order ChamberSignature.sort_key gives."""
+    rank = _ranks(n)
+    return sorted(chambers, key=lambda shorts: sorted(rank[m] for m in _members(_maximal(n, shorts))))
 
 
 def _walk(

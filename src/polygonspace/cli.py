@@ -18,6 +18,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence, TextIO
 
@@ -39,6 +40,7 @@ from polygonspace.chambers import (
     NonGenericSegment,
     SingularLength,
     _maximal,
+    _node_order,
     _walk,
     enumerate_chambers,
     epsilon,
@@ -535,17 +537,11 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[dict[str, object], int]:
     if args.limit is not None and args.limit < 1:
         raise ValueError(f"--limit must be at least 1, got {args.limit}")
     if args.r is not None:
-        r = _lengths(args.r)
-        report = validate_chamber(signature(r), r)
+        report = validate_chamber(signature(_lengths(args.r)))
         return _validation_doc(report), EXIT_OK if report.passed else EXIT_INTERNAL
-    graph = enumerate_chambers(args.n)
-    reports: list[ChamberValidation] = []
-    for node in graph.nodes:
-        if node.empty:
-            continue
-        reports.append(validate_chamber(node.signature, node.representative))
-        if args.limit is not None and len(reports) >= args.limit:
-            break
+    reps, _ = _walk(args.n)
+    sigs = (ChamberSignature(args.n, shorts) for shorts in _node_order(args.n, reps))
+    reports = [validate_chamber(sig) for sig in islice((s for s in sigs if not s.is_empty()), args.limit)]
     failures = [rep for rep in reports if not rep.passed]
     doc: dict[str, object] = {
         "n": args.n,

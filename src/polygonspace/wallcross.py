@@ -35,7 +35,6 @@ from polygonspace.chambers import (
     _members,
     _proper,
     _selectors,
-    representative,
     signature,
 )
 from polygonspace.volume import Convention, NotAdjacent, _monomials, volume_polynomial
@@ -156,6 +155,14 @@ def _anchor_shorts(n: int, j: int) -> int:
     return _proper(n) & ~_selectors(n)[j] & ~(1 << ((1 << n) - 1 ^ 1 << j)) | 1 << (1 << j)
 
 
+def _path_betti(sig: ChamberSignature, j: int = 0) -> tuple[int, ...]:
+    """(1, …, 1) plus the Betti delta of every set short in sig and long at the
+    external anchor of side j + 1 (0-based j), with p its size."""
+    n = sig.n
+    sizes = Counter(m.bit_count() for m in _members(sig.shorts & ~_anchor_shorts(n, j)))
+    return tuple(1 + sum(count * betti_delta(p, n - p, n)[d] for p, count in sizes.items()) for d in range(n - 2))
+
+
 def betti_via_path(r: LengthVector, anchor_index: int | None = None) -> tuple[int, ...]:
     """Betti numbers of M(r) by wall-crossing from an external chamber.
 
@@ -171,16 +178,11 @@ def betti_via_path(r: LengthVector, anchor_index: int | None = None) -> tuple[in
     sig = signature(r)
     if sig.is_empty():
         raise EmptyChamber(f"polygon space is empty for r = {r}")
-    n = r.n
     if anchor_index is None:
         anchor_index = r.lengths.index(max(r.lengths)) + 1
-    if not 1 <= anchor_index <= n:
-        raise ValueError(f"index {anchor_index} out of range 1..{n}")
-    betti = [1] * (n - 2)
-    sizes = Counter(m.bit_count() for m in _members(sig.shorts & ~_anchor_shorts(n, anchor_index - 1)))
-    for p, count in sizes.items():
-        betti = [b + count * d for b, d in zip(betti, betti_delta(p, n - p, n))]
-    return tuple(betti)
+    if not 1 <= anchor_index <= r.n:
+        raise ValueError(f"index {anchor_index} out of range 1..{r.n}")
+    return _path_betti(sig, anchor_index - 1)
 
 
 @lru_cache(maxsize=1 << _N_LIMIT)  # one entry per exit set: the 2^n − 2 of a whole walk at n <= _N_LIMIT
@@ -212,27 +214,23 @@ class ChamberValidation:
     passed: bool
 
 
-def validate_chamber(
-    sig: ChamberSignature, rep: LengthVector | None = None
-) -> ChamberValidation:
+def validate_chamber(sig: ChamberSignature) -> ChamberValidation:
     """Pit the two Betti routes against each other and check every wall jump.
 
     The apolarity route (catalecticant ranks of the volume polynomial) and
-    the wall-crossing route (walls between rep and an external chamber) must
-    agree; the jump of the volume polynomial across each bounding wall must
-    equal (−1)^q/(n−3)!·ε_{I_p}^{n−3}, compared exponent by exponent on the
-    integer tables w = 2·e!·c_e of the two chambers' expanded polynomials
-    and twice the closed form's.  Each chamber's table is built once, on its
-    cached record, not once more per wall it borders.  Failures are
+    the wall-crossing route (walls between sig and the external chamber of
+    side 1) must agree; the jump of the volume polynomial across each
+    bounding wall must equal (−1)^q/(n−3)!·ε_{I_p}^{n−3}, compared exponent
+    by exponent on the integer tables w = 2·e!·c_e of the two chambers'
+    expanded polynomials and twice the closed form's.  Both routes read the
+    signature alone, so no point of the chamber is needed.  Failures are
     recorded, not raised.
     """
     if sig.is_empty():
         raise EmptyChamber(f"cannot validate the empty space: {sig}")
-    if rep is None:
-        rep = representative(sig)
     vp = volume_polynomial(sig)  # its Walsh table gives the apolar Betti numbers
     betti_a = tuple(catalecticant_rank(vp, d, Convention.homogeneous()) for d in range(sig.n - 2))
-    betti_p = betti_via_path(rep)
+    betti_p = _path_betti(sig)
     checks = [(I, _jump_agrees(vp.integer_table, sig.flip(I), I.mask))
               for I in (short.complement for short in sig.maximal_shorts)]
     agree = betti_a == betti_p

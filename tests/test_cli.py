@@ -292,6 +292,17 @@ def test_validate_single_and_exhaustive() -> None:
     assert len(doc["reports"]) == 2
 
 
+def test_validate_n_builds_no_chamber_graph(monkeypatch) -> None:
+    # validate --n reads the walk's bitsets alone: no node, point or edge list
+    def forbidden(*args, **kwargs):
+        raise AssertionError("validate --n needs no chamber graph")
+
+    monkeypatch.setattr(cli, "enumerate_chambers", forbidden)
+    doc = invoke_json(["validate", "--n", "5"])
+    assert doc["checked"] == 76
+    assert doc["all_passed"] is True
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -309,6 +320,8 @@ def test_validate_single_and_exhaustive() -> None:
          "1cc0fb6159ed27fbc63b4c710fca59617a3e1849ebda3d16e95aff01856bc8c3"),
         (["chambers", "--n", "6", "--counts-only"],
          "463a436ebb42158f27900f7c82cf81d959a80329e6c93a7c56b2de297aa05104"),
+        (["validate", "--n", "6", "--full"],
+         "6ad3a8f988ebcf29c7484e382725f6bee51ff1a7c7f54e9f0390717ee90be0ff"),
     ],
 )
 def test_census_documents_are_byte_stable(argv: list[str], digest: str) -> None:

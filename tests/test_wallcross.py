@@ -27,6 +27,7 @@ from polygonspace import (
     betti_delta,
     betti_numbers,
     betti_via_path,
+    canonical_form,
     crossing_report,
     external_representative,
     nudge_within_chamber,
@@ -36,7 +37,8 @@ from polygonspace import (
     volume_polynomial,
     wall_jump,
 )
-from polygonspace import cli, wallcross
+from polygonspace import cli, exactlp, wallcross
+from polygonspace.chambers import _members
 from polygonspace.ratpoly import monomial_exponents
 
 from conftest import (
@@ -311,16 +313,29 @@ def test_validate_chamber_reference_chambers(cp2_sig, blowup_sig) -> None:
         assert result.passed
 
 
-def test_validate_chamber_accepts_explicit_representative(blowup_sig) -> None:
-    result = validate_chamber(blowup_sig, rep=BLOWUP_R)
-    assert result.passed
+def test_validate_chamber_reads_the_signature_alone(monkeypatch, graph5, graph6) -> None:
+    # no LP solve, and no point signed: every nonempty n = 5 chamber and one
+    # canonical chamber of each nonempty n = 6 class
+    classes = {canonical_form(node.signature) for node in graph6.nodes if not node.empty}
+    chambers = [node.signature for node in graph5.nodes if not node.empty] + sorted(classes, key=str)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("validate_chamber needs no point of the chamber")
+
+    monkeypatch.setattr(exactlp, "maximize", forbidden)
+    monkeypatch.setattr(wallcross, "signature", forbidden)
+    for sig in chambers:
+        result = validate_chamber(sig)
+        assert result.passed, sig
+        assert result.betti_path == hausmann_knutson_betti(sig.n, set(_members(sig.shorts)))
+    assert len(chambers) == 76 + 20
 
 
 def test_validate_chamber_all_nonempty_n4(graph4) -> None:
     for node in graph4.nodes:
         if node.empty:
             continue
-        result = validate_chamber(node.signature, rep=node.representative)
+        result = validate_chamber(node.signature)
         assert result.passed, node.signature
 
 
@@ -341,7 +356,7 @@ def test_validate_detects_a_wrong_jump(monkeypatch, blowup_sig) -> None:
         return table
 
     monkeypatch.setattr(wallcross, "_expected_table", flipped_table)
-    result = validate_chamber(blowup_sig, rep=BLOWUP_R)
+    result = validate_chamber(blowup_sig)
     assert result.betti_agree
     assert dict(result.jump_checks) == {
         short.complement: short.complement != bad_wall for short in blowup_sig.maximal_shorts
@@ -428,7 +443,7 @@ def test_validate_builds_each_table_once_per_record(monkeypatch) -> None:
 
 
 def test_jump_checks_name_exit_walls(cp2_sig) -> None:
-    result = validate_chamber(cp2_sig, rep=CP2_R)
+    result = validate_chamber(cp2_sig)
     named = {exit_set for exit_set, _ in result.jump_checks}
     expected = {short.complement for short in cp2_sig.maximal_shorts}
     assert named == expected
