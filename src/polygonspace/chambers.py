@@ -153,7 +153,7 @@ class IndexSet:
         """Canonical order: by cardinality, then lexicographically by sorted
         indices, i.e. first the set holding the lowest index where two differ,
         which is the one with the larger bit-reversed mask."""
-        return (self.p, -int(format(self.mask, f"0{self.n}b")[::-1], 2))
+        return _sort_key(self.n, self.mask)
 
     def contains(self, index: int) -> bool:
         """Membership of a 1-based index (False outside 1..n)."""
@@ -231,11 +231,21 @@ def _complete(n: int, shorts: int) -> bool:
     return True
 
 
+def _sort_key(n: int, mask: int) -> tuple[int, int]:
+    """IndexSet(n, mask).sort_key, with no IndexSet."""
+    return (mask.bit_count(), -int(format(mask, f"0{n}b")[::-1], 2))
+
+
 @lru_cache(maxsize=None)
 def _ranks(n: int) -> dict[int, int]:
     """The position of each proper nonempty mask in IndexSet.sort_key order."""
-    order = sorted(range(1, (1 << n) - 1), key=lambda m: IndexSet(n, m).sort_key)
+    order = sorted(range(1, (1 << n) - 1), key=lambda m: _sort_key(n, m))
     return dict(zip(order, range(len(order))))
+
+
+def _sorted_maximal(n: int, shorts: int) -> list[int]:
+    """The maximal members in IndexSet.sort_key order (no 2^n-entry _ranks)."""
+    return sorted(_members(_maximal(n, shorts)), key=lambda m: _sort_key(n, m))
 
 
 def _proper(n: int) -> int:
@@ -347,8 +357,7 @@ class ChamberSignature:
     @cached_property
     def maximal_shorts(self) -> tuple[IndexSet, ...]:
         """The inclusion-maximal short sets, canonically sorted."""
-        n = self.n
-        return tuple(sorted((IndexSet(n, m) for m in _members(_maximal(n, self.shorts))), key=lambda s: s.sort_key))
+        return tuple(IndexSet(self.n, m) for m in _sorted_maximal(self.n, self.shorts))
 
     def is_short(self, I: IndexSet) -> bool:
         return bool(self.shorts >> I.mask & 1)
@@ -366,10 +375,16 @@ class ChamberSignature:
         """The signature across the facet wall of the long set I."""
         if self.is_short(I):
             raise NotAFacet(f"{I} is short here; only long sets name exit walls")
-        comp_mask = I.complement.mask
-        if not _maximal(self.n, self.shorts) >> comp_mask & 1:
+        if not _maximal(self.n, self.shorts) >> I.complement.mask & 1:
             raise NotAFacet(f"{I.complement} is not a maximal short set; {I} does not bound this chamber")
-        return ChamberSignature(self.n, self.shorts & ~(1 << comp_mask) | 1 << I.mask)
+        return self._across(I.mask)
+
+    def _across(self, exit_mask: int) -> ChamberSignature:
+        """flip unchecked, for a long set whose complement is maximal short:
+        the result is then a valid family, so __post_init__ is skipped."""
+        across = object.__new__(ChamberSignature)
+        across.__dict__.update(n=self.n, shorts=self.shorts & ~(1 << ((1 << self.n) - 1 ^ exit_mask)) | 1 << exit_mask)
+        return across
 
     def adjacent_pair_with(self, other: ChamberSignature) -> IndexSet | None:
         """The set long here and short in `other`, if the two signatures differ
@@ -392,7 +407,8 @@ class ChamberSignature:
         return tuple(s.sort_key for s in self.maximal_shorts)
 
     def to_lists(self) -> list[list[int]]:
-        return [list(s.indices) for s in self.maximal_shorts]
+        n = self.n
+        return [[i + 1 for i in range(n) if m >> i & 1] for m in _sorted_maximal(n, self.shorts)]
 
     @classmethod
     def from_lists(cls, n: int, lists: Sequence[Sequence[int]]) -> ChamberSignature:
@@ -458,17 +474,18 @@ def external_representative(n: int, j: int = 1, perimeter: Scalar = 1) -> Length
 
 def _max_margin_point(
     n: int, shorts: int, sums: Sequence[tuple[int, Fraction]], skip: Container[int] = ()
-) -> tuple[Fraction, ...] | None:
+) -> tuple[tuple[Fraction, ...], bool] | None:
     """The max-margin point of the chamber under equality constraints, or None.
 
     Solves max λ over {x ≥ λ, Σ_{i∈m} xᵢ = value for each (m, value) in
     `sums`, every complementary pair whose canonical mask is not in `skip`
     keeps its chamber sign with slack ≥ λ} (exact LP, integer rows).  A
-    positive optimum is the most wall-distant point of that region; a
-    nonpositive one, or infeasibility, gives None.  Only pairs whose short
-    member is a maximal short set get a row: for J ⊊ M with M short,
-    ε_J = ε_M − 2·Σ_{M∖J} x ≤ −λ − 2λ as x ≥ λ ≥ 0, so the other rows are
-    implied (also under a skipped wall pair whose equalities put ε_{Iᶜ} = 0).
+    positive optimum is the most wall-distant point of that region, given with
+    True if certified the only optimum; a nonpositive one, or infeasibility,
+    gives None.  Only pairs whose short member is a maximal short set get a
+    row: for J ⊊ M with M short, ε_J = ε_M − 2·Σ_{M∖J} x ≤ −λ − 2λ as
+    x ≥ λ ≥ 0, so the other rows are implied (also under a skipped wall pair
+    whose equalities put ε_{Iᶜ} = 0).
     """
     full = (1 << n) - 1
     maximal = _maximal(n, shorts)
@@ -486,10 +503,38 @@ def _max_margin_point(
         ([value.denominator if mask >> i & 1 else 0 for i in range(n)] + [0], value.numerator)
         for mask, value in sums
     ]
-    solved = exactlp.maximize([0] * n + [1], eq_rows, ge_rows)
+    solved = exactlp.maximize([0] * n + [1], eq_rows, ge_rows, certify=True)
     if solved is None or solved[0] <= 0:
         return None
-    return solved[1][:n]
+    return solved[1][:n], solved[2]
+
+
+def _facet_point(
+    n: int, shorts: int, mask: int, value: Fraction, memo: dict
+) -> tuple[Fraction, ...] | None:
+    """The max-margin point of the wall of `mask` (its pair's sums at `value`),
+    or None, solved once per relabeling class of the facet: the LP is
+    equivariant under relabeling the sides, so a certified unique optimum,
+    relabeled, is the optimum of the whole orbit, as is None (infeasible or
+    margin ≤ 0).  `memo` keys a result by the facet relabeled by decreasing
+    cᵢ (as in canonical_form), ties broken by membership in `mask`; sides tied
+    on both are interchangeable, and a key that is not canonical only misses.
+    """
+    counts = [(shorts & sel).bit_count() for sel in _selectors(n)]
+    order = sorted(range(n), key=lambda i: (-counts[i], mask >> i & 1))
+    slot = [order.index(i) for i in range(n)]  # side i is relabeled slot[i]
+
+    def relabel(m: int) -> int:
+        return sum(1 << slot[i] for i in range(n) if m >> i & 1)
+
+    key = (sum(1 << relabel(m) for m in _members(_maximal(n, shorts))), relabel(mask), value)
+    stored = memo.get(key, ((), False))  # a missing key reads as uncertified
+    if stored is None or stored[1]:
+        return stored and tuple(stored[0][s] for s in slot)
+    pair = (mask, (1 << n) - 1 ^ mask)
+    solved = _max_margin_point(n, shorts, [(m, value) for m in pair], skip=pair)
+    memo.setdefault(key, solved and ([solved[0][i] for i in order], solved[1]))
+    return solved and solved[0]
 
 
 def representative(sig: ChamberSignature, perimeter: Scalar = 1) -> LengthVector:
@@ -501,10 +546,10 @@ def representative(sig: ChamberSignature, perimeter: Scalar = 1) -> LengthVector
     P = Fraction(perimeter)
     if P <= 0:
         raise ValueError("perimeter must be positive")
-    values = _max_margin_point(sig.n, sig.shorts, [((1 << sig.n) - 1, P)])
-    if values is None:
+    solved = _max_margin_point(sig.n, sig.shorts, [((1 << sig.n) - 1, P)])
+    if solved is None:
         raise ValueError(f"signature {sig} is not realizable by any length vector")
-    point = LengthVector.from_values(values)
+    point = LengthVector.from_values(solved[0])
     if signature(point) != sig:
         raise ValueError(f"interior-point search failed for {sig}")
     return point
@@ -542,13 +587,13 @@ def adjacent_representative(
     if 2 * sums[I.mask] <= sums[-1]:
         raise NotAFacet(f"{I} is not long at r = {r}")
     sig = ChamberSignature(r.n, _short_bits(sums))  # sig.flip(I) checks Iᶜ is maximal short
-    point, point_den, after, after_den = _cross(r.n, sig.shorts, sig.flip(I).shorts, sums, den, I.mask)
+    point, point_den, after, after_den = _cross(r.n, sig.shorts, sig.flip(I).shorts, sums, den, I.mask, {})
     wall_point = LengthVector(tuple(Fraction(x, point_den) for x in point))
     return wall_point, LengthVector(tuple(Fraction(x, after_den) for x in after))
 
 
 def _cross(n: int, shorts: int, target: int, sums: list[int], den: int,
-           mask: int) -> tuple[list[int], int, list[int], int]:
+           mask: int, memo: dict) -> tuple[list[int], int, list[int], int]:
     """adjacent_representative in integers, from the bitsets and the subset sums
     of den·r: (wall point, its denominator, point beyond, its denominator)."""
     total, inside = sums[-1], sums[mask]
@@ -560,8 +605,7 @@ def _cross(n: int, shorts: int, target: int, sums: list[int], den: int,
         point_den = 2 * inside * (total - inside) * den
         if not _wall_point_ok(point, shorts, mask):
             # the facet's max-margin point; a nonpositive margin means no facet
-            pair = (mask, (1 << n) - 1 ^ mask)
-            chosen = _max_margin_point(n, shorts, [(m, Fraction(total, 2 * den)) for m in pair], skip=pair)
+            chosen = _facet_point(n, shorts, mask, Fraction(total, 2 * den), memo)
             if chosen is not None:
                 point, point_den = _scaled(chosen)
             if chosen is None or not _wall_point_ok(point, shorts, mask):
@@ -735,6 +779,7 @@ def _walk(
     reps: dict[int, tuple[list[int], int]] = {start_shorts: _scaled(start.lengths)}
     found: list[tuple[int, int]] = []
     done: set[int] = set()
+    memo: dict = {}
     queue: deque[int] = deque([start_shorts])
     while queue:
         shorts = queue.popleft()
@@ -752,7 +797,7 @@ def _walk(
                     scaled, den = reps[shorts]
                     sums = _subset_sums(scaled)
                 try:
-                    *_, after, after_den = _cross(n, shorts, neighbor, sums, den, full ^ m)
+                    *_, after, after_den = _cross(n, shorts, neighbor, sums, den, full ^ m, memo)
                 except DegenerateWall:
                     # combinatorially adjacent pair whose common wall carries
                     # no facet; not an edge of the chamber graph

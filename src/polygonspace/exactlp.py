@@ -32,12 +32,17 @@ def maximize(
     objective: Sequence[Fraction | int],
     eq_rows: Sequence[Row],
     ge_rows: Sequence[Row],
-) -> Optional[tuple[Fraction, tuple[Fraction, ...]]]:
+    *,
+    certify: bool = False,
+) -> Optional[tuple]:
     """Maximize ``objective . x`` subject to ``x >= 0``, equalities and ``>=`` rows.
 
     ``eq_rows`` and ``ge_rows`` are ``(coefficients, rhs)`` pairs.  Returns
     ``(value, x)`` at an optimal vertex, or ``None`` when the constraints are
     infeasible.  Raises ``ValueError`` if the objective is unbounded above.
+    With ``certify`` the result is ``(value, x, unique)``: ``unique`` is True
+    when every nonbasic reduced cost of the final tableau is strictly
+    positive, which proves x the only optimum (False may still be one).
     """
     nvars, neq, nge = len(objective), len(eq_rows), len(ge_rows)
     width = nvars + nge  # structural + slack columns; artificials are numbered from width
@@ -112,6 +117,8 @@ def maximize(
         if b < nvars:
             point[b] = Fraction(tab[r][-1], tab[r][-2])
     value = sum((Fraction(c) * x for c, x in zip(objective, point)), Fraction(0))
+    if certify:
+        return value, tuple(point), all(c > 0 for c in tab[-1][:len(cols)])
     return value, tuple(point)
 
 

@@ -231,7 +231,7 @@ def validate_chamber(sig: ChamberSignature) -> ChamberValidation:
     vp = volume_polynomial(sig)  # its Walsh table gives the apolar Betti numbers
     betti_a = tuple(catalecticant_rank(vp, d, Convention.homogeneous()) for d in range(sig.n - 2))
     betti_p = _path_betti(sig)
-    checks = [(I, _jump_agrees(vp.integer_table, sig.flip(I), I.mask))
+    checks = [(I, _jump_agrees(vp.integer_table, sig._across(I.mask), I.mask))
               for I in (short.complement for short in sig.maximal_shorts)]
     agree = betti_a == betti_p
     return ChamberValidation(

@@ -455,8 +455,8 @@ def test_facet_row_lp_matches_full_lp(graph4, graph5) -> None:
                 if solved is None or solved[0] <= 0:
                     assert facet is None
                     continue
-                assert facet == solved[1][:n]
-                assert _margin(facet, sig, canonical) == solved[0]
+                assert facet is not None and facet[0] == solved[1][:n]
+                assert _margin(facet[0], sig, canonical) == solved[0]
 
 
 def _wall_point_valid(x, sig, I) -> bool:
@@ -697,6 +697,11 @@ def test_flip_and_adjacency_match_set_definitions(graph5) -> None:
         flipped = graph5.nodes[source].signature.flip(I)
         assert {s.mask for s in flipped.maximal_shorts} == maximal_masks(n, expected)
         assert flipped == graph5.nodes[target].signature
+    # flip builds the neighbour unchecked; the checks would pass on every wall
+    for node in graph5.nodes:
+        for I in (short.complement for short in node.signature.maximal_shorts):
+            flipped = node.signature.flip(I)
+            assert ChamberSignature(n, flipped.shorts) == flipped
     for i, a in enumerate(graph5.nodes):
         for j, b in enumerate(graph5.nodes):
             differ = [m for m in range(1, full, 2) if (m in shorts[i]) != (m in shorts[j])]
@@ -798,7 +803,50 @@ def test_walk_crosses_only_into_new_complete_targets(monkeypatch) -> None:
     # every crossing reaches a new chamber (no DegenerateWall is left at
     # n = 6), and the LP runs only where both wall-point candidates fail
     assert calls["_cross"] == len(graph.nodes) - 1
-    assert calls["maximize"] <= 320
+    assert calls["maximize"] == 25
+
+
+@pytest.mark.parametrize("n, solves, facets", [(5, 4, 14), (6, 25, 320)])
+def test_walk_solves_each_facet_lp_once_per_relabeling(n: int, solves: int, facets: int, monkeypatch) -> None:
+    calls = {"maximize": 0}
+    solve, facet_point = exactlp.maximize, chambers._facet_point
+    read: list[tuple] = []
+
+    def counted(*args, **kwargs):
+        calls["maximize"] += 1
+        return solve(*args, **kwargs)
+
+    def recorded(size, shorts, mask, value, memo):
+        point = facet_point(size, shorts, mask, value, memo)
+        read.append((shorts, mask, value, point))
+        return point
+
+    monkeypatch.setattr(exactlp, "maximize", counted)
+    monkeypatch.setattr(chambers, "_facet_point", recorded)
+    reps, found = chambers._walk(n)
+    monkeypatch.undo()
+    assert (len(reps), calls["maximize"], len(read)) == ({5: 81, 6: 1684}[n], solves, facets)
+    # every point, the reused ones among them, is the direct solve of its facet
+    for shorts, mask, value, point in read:
+        pair = (mask, (1 << n) - 1 ^ mask)
+        solved = _max_margin_point(n, shorts, [(m, value) for m in pair], skip=pair)
+        assert point == (solved and solved[0])
+
+
+def test_walk_reuses_only_certified_optima(monkeypatch) -> None:
+    # with every uniqueness certificate withheld, the walk solves each facet
+    # LP itself and still finds the same chambers through the same points
+    expected = chambers._walk(5)
+    solve, calls = exactlp.maximize, []
+
+    def uncertified(*args, **kwargs):
+        calls.append(args)
+        solved = solve(*args, **kwargs)
+        return solved and (*solved[:2], False)
+
+    monkeypatch.setattr(exactlp, "maximize", uncertified)
+    assert chambers._walk(5) == expected
+    assert len(calls) == 14
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

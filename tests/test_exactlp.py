@@ -237,15 +237,29 @@ def assert_same_as_full_tableau(instances: list[tuple]) -> None:
         assert outcome(exactlp.maximize, args) == outcome(full_tableau_maximize, args), args
 
 
-def test_condensed_tableau_matches_full_tableau_on_the_walks(monkeypatch) -> None:
+def test_condensed_tableau_matches_full_tableau_on_the_walks(monkeypatch, graph5, graph6) -> None:
+    # the facet LPs of the walks' edges, solved directly: a walk solves one
+    # per relabeling class, too few to test the solver on
     seen: list[tuple] = []
     solve = exactlp.maximize
-    monkeypatch.setattr(exactlp, "maximize", lambda *args: seen.append(args) or solve(*args))
-    for n in range(3, 7):
-        chambers._walk(n)
+    monkeypatch.setattr(exactlp, "maximize", lambda *args, **kwargs: seen.append(args) or solve(*args, **kwargs))
+    for graph, stride in ((graph5, 1), (graph6, 20)):
+        for a, _, wall in graph.edges[::stride]:
+            pair = (wall.index_set.mask, wall.index_set.complement.mask)
+            chambers._max_margin_point(graph.n, graph.nodes[a].signature.shorts, [(m, F(1, 2)) for m in pair], skip=pair)
     monkeypatch.undo()
-    assert len(seen) >= 100  # the walks must reach the LP fallback
-    assert_same_as_full_tableau(seen)
+    distinct = list({repr(args): args for args in seen}.values())
+    assert len(distinct) >= 100
+    assert_same_as_full_tableau(distinct)
+
+
+def test_certify_reports_a_unique_optimum() -> None:
+    box = [([F(-1), F(-1)], F(-1))]  # x + y <= 1
+    assert exactlp.maximize([F(1), F(2)], [], box, certify=True) == (2, (0, 1), True)
+    # every point of the edge x + y = 1 is optimal
+    solved = exactlp.maximize([F(1), F(1)], [], box, certify=True)
+    assert solved is not None and solved[0] == 1 and solved[2] is False
+    assert exactlp.maximize([F(1)], [], [([F(1)], F(2)), ([F(-1)], F(-1))], certify=True) is None
 
 
 def test_condensed_tableau_matches_full_tableau_on_the_oracle_instances(monkeypatch) -> None:
