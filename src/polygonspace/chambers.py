@@ -153,7 +153,7 @@ class IndexSet:
         """Canonical order: by cardinality, then lexicographically by sorted
         indices, i.e. first the set holding the lowest index where two differ,
         which is the one with the larger bit-reversed mask."""
-        return _sort_key(self.n, self.mask)
+        return (self.p, -int(format(self.mask, f"0{self.n}b")[::-1], 2))
 
     def contains(self, index: int) -> bool:
         """Membership of a 1-based index (False outside 1..n)."""
@@ -231,21 +231,11 @@ def _complete(n: int, shorts: int) -> bool:
     return True
 
 
-def _sort_key(n: int, mask: int) -> tuple[int, int]:
-    """IndexSet(n, mask).sort_key, with no IndexSet."""
-    return (mask.bit_count(), -int(format(mask, f"0{n}b")[::-1], 2))
-
-
 @lru_cache(maxsize=None)
 def _ranks(n: int) -> dict[int, int]:
     """The position of each proper nonempty mask in IndexSet.sort_key order."""
-    order = sorted(range(1, (1 << n) - 1), key=lambda m: _sort_key(n, m))
+    order = sorted(range(1, (1 << n) - 1), key=lambda m: IndexSet(n, m).sort_key)
     return dict(zip(order, range(len(order))))
-
-
-def _sorted_maximal(n: int, shorts: int) -> list[int]:
-    """The maximal members in IndexSet.sort_key order (no 2^n-entry _ranks)."""
-    return sorted(_members(_maximal(n, shorts)), key=lambda m: _sort_key(n, m))
 
 
 def _proper(n: int) -> int:
@@ -357,7 +347,8 @@ class ChamberSignature:
     @cached_property
     def maximal_shorts(self) -> tuple[IndexSet, ...]:
         """The inclusion-maximal short sets, canonically sorted."""
-        return tuple(IndexSet(self.n, m) for m in _sorted_maximal(self.n, self.shorts))
+        n = self.n
+        return tuple(sorted((IndexSet(n, m) for m in _members(_maximal(n, self.shorts))), key=lambda s: s.sort_key))
 
     def is_short(self, I: IndexSet) -> bool:
         return bool(self.shorts >> I.mask & 1)
@@ -407,8 +398,7 @@ class ChamberSignature:
         return tuple(s.sort_key for s in self.maximal_shorts)
 
     def to_lists(self) -> list[list[int]]:
-        n = self.n
-        return [[i + 1 for i in range(n) if m >> i & 1] for m in _sorted_maximal(n, self.shorts)]
+        return [list(s.indices) for s in self.maximal_shorts]
 
     @classmethod
     def from_lists(cls, n: int, lists: Sequence[Sequence[int]]) -> ChamberSignature:
@@ -475,17 +465,16 @@ def external_representative(n: int, j: int = 1, perimeter: Scalar = 1) -> Length
 def _max_margin_point(
     n: int, shorts: int, sums: Sequence[tuple[int, Fraction]], skip: Container[int] = ()
 ) -> tuple[tuple[Fraction, ...], bool] | None:
-    """The max-margin point of the chamber under equality constraints, or None.
+    """(The max-margin point of the chamber under equality constraints, True if certified unique), or None.
 
     Solves max λ over {x ≥ λ, Σ_{i∈m} xᵢ = value for each (m, value) in
     `sums`, every complementary pair whose canonical mask is not in `skip`
     keeps its chamber sign with slack ≥ λ} (exact LP, integer rows).  A
-    positive optimum is the most wall-distant point of that region, given with
-    True if certified the only optimum; a nonpositive one, or infeasibility,
-    gives None.  Only pairs whose short member is a maximal short set get a
-    row: for J ⊊ M with M short, ε_J = ε_M − 2·Σ_{M∖J} x ≤ −λ − 2λ as
-    x ≥ λ ≥ 0, so the other rows are implied (also under a skipped wall pair
-    whose equalities put ε_{Iᶜ} = 0).
+    positive optimum is the most wall-distant point of that region; a
+    nonpositive one, or infeasibility, gives None.  Only pairs whose short
+    member is a maximal short set get a row: for J ⊊ M with M short,
+    ε_J = ε_M − 2·Σ_{M∖J} x ≤ −λ − 2λ as x ≥ λ ≥ 0, so the other rows are
+    implied (also under a skipped wall pair whose equalities put ε_{Iᶜ} = 0).
     """
     full = (1 << n) - 1
     maximal = _maximal(n, shorts)
@@ -503,23 +492,19 @@ def _max_margin_point(
         ([value.denominator if mask >> i & 1 else 0 for i in range(n)] + [0], value.numerator)
         for mask, value in sums
     ]
-    solved = exactlp.maximize([0] * n + [1], eq_rows, ge_rows, certify=True)
+    solved = exactlp.maximize([0] * n + [1], eq_rows, ge_rows)
     if solved is None or solved[0] <= 0:
         return None
     return solved[1][:n], solved[2]
 
 
-def _facet_point(
-    n: int, shorts: int, mask: int, value: Fraction, memo: dict
-) -> tuple[Fraction, ...] | None:
+def _facet_point(n: int, shorts: int, mask: int, value: Fraction, memo: dict) -> tuple[Fraction, ...] | None:
     """The max-margin point of the wall of `mask` (its pair's sums at `value`),
-    or None, solved once per relabeling class of the facet: the LP is
-    equivariant under relabeling the sides, so a certified unique optimum,
-    relabeled, is the optimum of the whole orbit, as is None (infeasible or
-    margin ≤ 0).  `memo` keys a result by the facet relabeled by decreasing
-    cᵢ (as in canonical_form), ties broken by membership in `mask`; sides tied
-    on both are interchangeable, and a key that is not canonical only misses.
-    """
+    or None, solved once per relabeling class: the LP is equivariant under
+    relabeling the sides, so a certified unique optimum, relabeled, or None
+    holds for the whole orbit.  `memo` keys a result by the facet relabeled by
+    decreasing cᵢ (as in canonical_form), ties broken by membership in `mask`;
+    a key that is not canonical only misses."""
     counts = [(shorts & sel).bit_count() for sel in _selectors(n)]
     order = sorted(range(n), key=lambda i: (-counts[i], mask >> i & 1))
     slot = [order.index(i) for i in range(n)]  # side i is relabeled slot[i]
@@ -533,7 +518,7 @@ def _facet_point(
         return stored and tuple(stored[0][s] for s in slot)
     pair = (mask, (1 << n) - 1 ^ mask)
     solved = _max_margin_point(n, shorts, [(m, value) for m in pair], skip=pair)
-    memo.setdefault(key, solved and ([solved[0][i] for i in order], solved[1]))
+    memo[key] = solved and ([solved[0][i] for i in order], solved[1])  # replaces an uncertified entry
     return solved and solved[0]
 
 

@@ -696,8 +696,8 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="with --n: include every report, not just failures",
     )
-    # the usage lines as argparse wraps them at 80 columns on Python 3.10-3.12,
-    # which 3.13 puts on one line; set after the subparsers take their prog
+    # the usage as argparse wraps it at 80 columns on Python 3.10-3.12 (3.13 keeps
+    # one line), whatever COLUMNS says; set after the subparsers take their prog
     parser.usage = "%(prog)s [-h]\n{0}{{{1}}}\n{0}...".format(" " * 20, ",".join(sub.choices))
     return parser
 

@@ -32,17 +32,14 @@ def maximize(
     objective: Sequence[Fraction | int],
     eq_rows: Sequence[Row],
     ge_rows: Sequence[Row],
-    *,
-    certify: bool = False,
-) -> Optional[tuple]:
+) -> Optional[tuple[Fraction, tuple[Fraction, ...], bool]]:
     """Maximize ``objective . x`` subject to ``x >= 0``, equalities and ``>=`` rows.
 
     ``eq_rows`` and ``ge_rows`` are ``(coefficients, rhs)`` pairs.  Returns
-    ``(value, x)`` at an optimal vertex, or ``None`` when the constraints are
-    infeasible.  Raises ``ValueError`` if the objective is unbounded above.
-    With ``certify`` the result is ``(value, x, unique)``: ``unique`` is True
-    when every nonbasic reduced cost of the final tableau is strictly
-    positive, which proves x the only optimum (False may still be one).
+    ``(value, x, unique)`` at an optimal vertex x, or ``None`` when the
+    constraints are infeasible; ``unique`` (every nonbasic reduced cost > 0)
+    proves x the only optimum.  Raises ``ValueError`` if the objective is
+    unbounded above.
     """
     nvars, neq, nge = len(objective), len(eq_rows), len(ge_rows)
     width = nvars + nge  # structural + slack columns; artificials are numbered from width
@@ -117,9 +114,7 @@ def maximize(
         if b < nvars:
             point[b] = Fraction(tab[r][-1], tab[r][-2])
     value = sum((Fraction(c) * x for c, x in zip(objective, point)), Fraction(0))
-    if certify:
-        return value, tuple(point), all(c > 0 for c in tab[-1][:len(cols)])
-    return value, tuple(point)
+    return value, tuple(point), all(c > 0 for c in tab[-1][:len(cols)])
 
 
 def _pivot_to_optimum(tab: list[list[int]], basis: list[int], cols: list[int]) -> None:

@@ -409,7 +409,7 @@ def _full_row_margin_lp(sig, sums, skip=()):
 
     Same variables and objective as the library's facet-row LP: x ≥ λ, the
     equalities Σ_{i∈m} xᵢ = value, and sign·ε_J(x) ≥ λ for every pair not
-    skipped.  Returns (λ, x) or None as exactlp.maximize does.
+    skipped.  Returns (λ, x, unique) or None as exactlp.maximize does.
     """
     n = sig.n
     ge_rows = []
@@ -812,9 +812,9 @@ def test_walk_solves_each_facet_lp_once_per_relabeling(n: int, solves: int, face
     solve, facet_point = exactlp.maximize, chambers._facet_point
     read: list[tuple] = []
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls["maximize"] += 1
-        return solve(*args, **kwargs)
+        return solve(*args)
 
     def recorded(size, shorts, mask, value, memo):
         point = facet_point(size, shorts, mask, value, memo)
@@ -839,9 +839,9 @@ def test_walk_reuses_only_certified_optima(monkeypatch) -> None:
     expected = chambers._walk(5)
     solve, calls = exactlp.maximize, []
 
-    def uncertified(*args, **kwargs):
+    def uncertified(*args):
         calls.append(args)
-        solved = solve(*args, **kwargs)
+        solved = solve(*args)
         return solved and (*solved[:2], False)
 
     monkeypatch.setattr(exactlp, "maximize", uncertified)

@@ -100,7 +100,7 @@ def test_known_small_instances() -> None:
         [F(1), F(1)], [], [([F(-1), F(0)], F(-2)), ([F(0), F(-1)], F(-3))]
     )
     assert solved is not None
-    value, x = solved
+    value, x, _ = solved
     assert value == 5 and x == (F(2), F(3))
 
     # equality only: max x2 with x1 + x2 = 1
@@ -142,7 +142,7 @@ def test_degenerate_zero_rhs_rows() -> None:
         ],
     )
     assert solved is not None
-    value, x = solved
+    value, x, _ = solved
     assert value == 8 and x[0] == x[1] == 4
 
 
@@ -157,7 +157,7 @@ def test_beale_cycling_instance() -> None:
     ]
     solved = exactlp.maximize(objective, [], ge_rows)
     assert solved is not None
-    value, x = solved
+    value, x, _ = solved
     assert value == F(1, 20)
     assert x == (F(1, 25), F(0), F(1), F(0))
 
@@ -191,7 +191,7 @@ def test_random_instances_match_vertex_oracle() -> None:
             assert expected is None
             continue
         feasible_count += 1
-        value, x = solved
+        value, x, _ = solved
         assert value == expected
         assert value == sum(c * v for c, v in zip(objective, x))
         assert_feasible_exactly(x, eq_rows, ge_rows)
@@ -234,7 +234,8 @@ def outcome(solve, args: tuple) -> object:
 
 def assert_same_as_full_tableau(instances: list[tuple]) -> None:
     for args in instances:
-        assert outcome(exactlp.maximize, args) == outcome(full_tableau_maximize, args), args
+        solved = outcome(exactlp.maximize, args)
+        assert (solved and solved[:2]) == outcome(full_tableau_maximize, args), args
 
 
 def test_condensed_tableau_matches_full_tableau_on_the_walks(monkeypatch, graph5, graph6) -> None:
@@ -242,7 +243,7 @@ def test_condensed_tableau_matches_full_tableau_on_the_walks(monkeypatch, graph5
     # per relabeling class, too few to test the solver on
     seen: list[tuple] = []
     solve = exactlp.maximize
-    monkeypatch.setattr(exactlp, "maximize", lambda *args, **kwargs: seen.append(args) or solve(*args, **kwargs))
+    monkeypatch.setattr(exactlp, "maximize", lambda *args: seen.append(args) or solve(*args))
     for graph, stride in ((graph5, 1), (graph6, 20)):
         for a, _, wall in graph.edges[::stride]:
             pair = (wall.index_set.mask, wall.index_set.complement.mask)
@@ -253,13 +254,12 @@ def test_condensed_tableau_matches_full_tableau_on_the_walks(monkeypatch, graph5
     assert_same_as_full_tableau(distinct)
 
 
-def test_certify_reports_a_unique_optimum() -> None:
+def test_maximize_reports_a_unique_optimum() -> None:
     box = [([F(-1), F(-1)], F(-1))]  # x + y <= 1
-    assert exactlp.maximize([F(1), F(2)], [], box, certify=True) == (2, (0, 1), True)
+    assert exactlp.maximize([F(1), F(2)], [], box) == (2, (0, 1), True)
     # every point of the edge x + y = 1 is optimal
-    solved = exactlp.maximize([F(1), F(1)], [], box, certify=True)
+    solved = exactlp.maximize([F(1), F(1)], [], box)
     assert solved is not None and solved[0] == 1 and solved[2] is False
-    assert exactlp.maximize([F(1)], [], [([F(1)], F(2)), ([F(-1)], F(-1))], certify=True) is None
 
 
 def test_condensed_tableau_matches_full_tableau_on_the_oracle_instances(monkeypatch) -> None:
@@ -307,7 +307,7 @@ def test_condensed_tableau_matches_full_tableau_on_hard_instances() -> None:
             ge_rows += [([F(-(i == j)) for j in range(nvars)], F(-rng.randint(1, 9))) for i in range(nvars)]
         instances.append((objective, eq_rows, ge_rows))
     outcomes = [outcome(exactlp.maximize, args) for args in instances]
-    assert outcomes[:4] == [(8, (4, 4, 0)), (F(1, 20), (F(1, 25), 0, 1, 0)),
+    assert [o[:2] for o in outcomes[:4]] == [(8, (4, 4, 0)), (F(1, 20), (F(1, 25), 0, 1, 0)),
                             (ValueError, "objective is unbounded"),
                             (ValueError, "constraint width does not match the objective")]
     assert {type(o) for o in outcomes} == {tuple, type(None)}
