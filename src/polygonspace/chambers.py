@@ -70,7 +70,7 @@ class LengthVector:
         object.__setattr__(self, "lengths", lengths)
         if len(self.lengths) < 3:
             raise ValueError(f"need at least 3 side lengths, got {len(self.lengths)}")
-        if any(x <= 0 for x in self.lengths):
+        if any(x.numerator <= 0 for x in lengths):
             raise ValueError(f"side lengths must be strictly positive: {self}")
 
     @classmethod
@@ -141,19 +141,19 @@ class IndexSet:
 
     @property
     def complement(self) -> IndexSet:
-        return IndexSet(self.n, ((1 << self.n) - 1) ^ self.mask)
+        return _index_set(self.n, ((1 << self.n) - 1) ^ self.mask)
 
-    @property
+    @cached_property
     def indices(self) -> tuple[int, ...]:
         """Sorted 1-based member indices."""
-        return tuple(i + 1 for i in range(self.n) if self.mask >> i & 1)
+        return _index_set(self.n, self.mask).indices
 
-    @property
+    @cached_property
     def sort_key(self) -> tuple[int, int]:
         """Canonical order: by cardinality, then lexicographically by sorted
         indices, i.e. first the set holding the lowest index where two differ,
         which is the one with the larger bit-reversed mask."""
-        return (self.p, -int(format(self.mask, f"0{self.n}b")[::-1], 2))
+        return _index_set(self.n, self.mask).sort_key
 
     def contains(self, index: int) -> bool:
         """Membership of a 1-based index (False outside 1..n)."""
@@ -172,6 +172,15 @@ class IndexSet:
 
     def __str__(self) -> str:
         return "{" + ",".join(map(str, self.indices)) + "}"
+
+
+@lru_cache(maxsize=1 << 12)  # bounded: a census reuses a few dozen sets, n = 16 lists 9102
+def _index_set(n: int, mask: int) -> IndexSet:
+    """The shared IndexSet of a proper nonempty mask, unchecked, indices and sort key set directly."""
+    s, bits = object.__new__(IndexSet), format(mask, f"0{n}b")[::-1]  # bits[i] is "1" when i + 1 is a member
+    s.__dict__.update(n=n, mask=mask, sort_key=(mask.bit_count(), -int(bits, 2)),
+                      indices=tuple(compress(range(1, n + 1), bits.encode().translate(_BIT_VALUES))))
+    return s
 
 
 @dataclass(frozen=True)
@@ -339,6 +348,13 @@ class ChamberSignature:
             pair = IndexSet(n, (unclassified & -unclassified).bit_length() - 1)
             raise ValueError(f"maximal shorts do not classify the pair {pair}/{pair.complement}")
 
+    @classmethod
+    def _unchecked(cls, n: int, shorts: int) -> ChamberSignature:
+        """No __post_init__: for a family that a walk or a flip made valid by construction."""
+        sig = object.__new__(cls)
+        sig.__dict__.update(n=n, shorts=shorts)
+        return sig
+
     def __repr__(self) -> str:
         # hexadecimal: a decimal int of 2^n bits exceeds Python's
         # int-to-str digit limit from n = 14 on
@@ -348,7 +364,7 @@ class ChamberSignature:
     def maximal_shorts(self) -> tuple[IndexSet, ...]:
         """The inclusion-maximal short sets, canonically sorted."""
         n = self.n
-        return tuple(sorted((IndexSet(n, m) for m in _members(_maximal(n, self.shorts))), key=lambda s: s.sort_key))
+        return tuple(sorted((_index_set(n, m) for m in _members(_maximal(n, self.shorts))), key=lambda s: s.sort_key))
 
     def is_short(self, I: IndexSet) -> bool:
         return bool(self.shorts >> I.mask & 1)
@@ -371,11 +387,8 @@ class ChamberSignature:
         return self._across(I.mask)
 
     def _across(self, exit_mask: int) -> ChamberSignature:
-        """flip unchecked, for a long set whose complement is maximal short:
-        the result is then a valid family, so __post_init__ is skipped."""
-        across = object.__new__(ChamberSignature)
-        across.__dict__.update(n=self.n, shorts=self.shorts & ~(1 << ((1 << self.n) - 1 ^ exit_mask)) | 1 << exit_mask)
-        return across
+        """flip unchecked, for a long set whose complement is maximal short (so a valid family)."""
+        return self._unchecked(self.n, self.shorts & ~(1 << ((1 << self.n) - 1 ^ exit_mask)) | 1 << exit_mask)
 
     def adjacent_pair_with(self, other: ChamberSignature) -> IndexSet | None:
         """The set long here and short in `other`, if the two signatures differ
@@ -732,13 +745,13 @@ def enumerate_chambers(n: int, max_nodes: int | None = None) -> ChamberGraph:
     nodes = tuple(
         ChamberNode(sig, LengthVector(tuple(Fraction(x, den) for x in scaled)),
                     sig.is_empty(), sig.is_external())
-        for sig, (scaled, den) in ((ChamberSignature(n, s), reps[s]) for s in order)
+        for sig, (scaled, den) in ((ChamberSignature._unchecked(n, s), reps[s]) for s in order)
     )
     # the target swaps the pair {I, Iᶜ}; one edge per chamber pair, so the
     # wall never decides the order
     full = (1 << n) - 1
     edges = sorted((index_of[a], index_of[a ^ (1 << mask | 1 << (full ^ mask))], mask) for a, mask in found)
-    return ChamberGraph(n, nodes, tuple((a, b, Wall(IndexSet(n, mask))) for a, b, mask in edges))
+    return ChamberGraph(n, nodes, tuple((a, b, Wall(_index_set(n, mask))) for a, b, mask in edges))
 
 
 def _node_order(n: int, chambers: Iterable[int]) -> list[int]:

@@ -240,6 +240,19 @@ def maximal_masks(n: int, shorts: set[int]) -> set[int]:
     }
 
 
+def maximal_in_list_order(n: int, shorts: int) -> list[int]:
+    """The maximal members of the bitset `shorts` (bit m set when mask m is
+    short), by size and then lexicographically by sorted member indices, the
+    order read off each mask alone: no IndexSet, no sort key of the library."""
+    members = {m for m in range(1, (1 << n) - 1) if shorts >> m & 1}
+    return sorted(maximal_masks(n, members), key=lambda m: (m.bit_count(), [i for i in range(n) if m >> i & 1]))
+
+
+def mask_lists(n: int, masks: Sequence[int]) -> list[list[int]]:
+    """Each mask as its sorted 1-based member indices."""
+    return [[i + 1 for i in range(n) if m >> i & 1] for m in masks]
+
+
 def hausmann_knutson_betti(n: int, shorts: set[int], k: int = 0) -> tuple[int, ...]:
     """(b_0, b_2, ..., b_2(n-3)) counted from the short sets containing side k.
 

@@ -27,13 +27,15 @@ from polygonspace import (
     signature,
 )
 from polygonspace import chambers, exactlp
-from polygonspace.chambers import _complete, _max_margin_point, _maximal, _members, _selectors
+from polygonspace.chambers import _complete, _index_set, _max_margin_point, _maximal, _members, _selectors
 
 from conftest import (
     BLOWUP_R,
     CP2_R,
     is_generic_point,
     long_sets,
+    mask_lists,
+    maximal_in_list_order,
     maximal_masks,
     odd_perimeter_point,
     reference_canonical_form,
@@ -865,6 +867,88 @@ def test_node_order_is_sort_key_order(fixture: str, request) -> None:
     # enumerate_chambers sorts by the ranks of the maximal short sets
     signatures = [node.signature for node in request.getfixturevalue(fixture).nodes]
     assert signatures == sorted(signatures, key=lambda sig: sig.sort_key())
+
+
+@pytest.mark.parametrize("fixture", ["graph3", "graph4", "graph5", "graph6"])
+def test_maximal_shorts_follow_the_mask_order_oracle(fixture: str, request) -> None:
+    for node in request.getfixturevalue(fixture).nodes:
+        sig = node.signature
+        order = maximal_in_list_order(sig.n, sig.shorts)
+        assert [s.mask for s in sig.maximal_shorts] == order
+        assert sig.to_lists() == mask_lists(sig.n, order)
+
+
+def test_maximal_shorts_follow_the_mask_order_oracle_up_to_16_sides() -> None:
+    # nearly equal lengths at 16 sides have 9102 maximal sets, more than the
+    # intern keeps: it evicts and rebuilds
+    rng = random.Random(2503)
+    points = [odd_perimeter_point(rng, n) for n in range(9, 17)]
+    for r in [*points, LengthVector.from_values([*range(100, 115), 116])]:
+        n, sig = r.n, signature(r)
+        order = maximal_in_list_order(n, sig.shorts)
+        assert [s.mask for s in sig.maximal_shorts] == order
+        assert sig.to_lists() == mask_lists(n, order)
+        info = _index_set.cache_info()
+        assert info.currsize <= info.maxsize == 1 << 12  # bounded, not a table of 2^n sets
+
+
+def test_interned_index_sets_behave_like_checked_ones() -> None:
+    for n in range(3, 8):
+        full = (1 << n) - 1
+        for m in range(1, full):
+            shared, checked = _index_set(n, m), IndexSet(n, m)
+            assert shared is _index_set(n, m) and shared is not checked
+            assert shared == checked and hash(shared) == hash(checked)
+            assert {shared: 1}[checked] == 1
+            assert shared.indices == checked.indices == tuple(i + 1 for i in range(n) if m >> i & 1)
+            assert shared.sort_key == checked.sort_key == (m.bit_count(), -int(format(m, f"0{n}b")[::-1], 2))
+            assert str(shared) == str(checked) and repr(shared) == repr(checked)
+            assert checked.complement is _index_set(n, full ^ m)
+    I = iset(6, 2, 5)
+    assert I.indices == (2, 5) and I.sort_key == (2, -0b010010)
+    assert I.indices is _index_set(6, I.mask).indices  # computed once, then shared
+
+
+def test_to_lists_returns_fresh_lists(cp2_sig: ChamberSignature) -> None:
+    lists = cp2_sig.to_lists()
+    expected = [list(ix) for ix in lists]
+    lists[0].append(99)
+    lists.append([1])
+    assert cp2_sig.to_lists() == expected
+    assert ChamberSignature.from_lists(5, cp2_sig.to_lists()) == cp2_sig
+
+
+@pytest.mark.parametrize("fixture", ["graph3", "graph4", "graph5", "graph6"])
+def test_walk_made_signatures_pass_the_checks(fixture: str, request) -> None:
+    # the walk, the flips and validate --n build these without __post_init__
+    graph = request.getfixturevalue(fixture)
+    full = (1 << graph.n) - 1
+    for node in graph.nodes:
+        sig = node.signature
+        assert ChamberSignature(graph.n, sig.shorts) == sig
+        for short in sig.maximal_shorts:
+            across = sig._across(full ^ short.mask)
+            assert ChamberSignature(graph.n, across.shorts) == across == sig.flip(short.complement)
+    for _, _, wall in graph.edges:
+        assert wall.index_set == IndexSet(graph.n, wall.index_set.mask)
+
+
+def test_invalid_families_still_raise(graph5) -> None:
+    # swapping a pair that bounds no facet leaves no valid family
+    full = 31
+    checked = 0
+    for node in graph5.nodes:
+        sig = node.signature
+        maximal = _maximal(5, sig.shorts)
+        for m in range(1, full):
+            if sig.shorts >> m & 1 and not maximal >> m & 1:
+                swapped = sig.shorts & ~(1 << m) | 1 << (full ^ m)
+                with pytest.raises(ValueError):
+                    ChamberSignature(5, swapped)
+                with pytest.raises(ValueError):
+                    ChamberSignature.from_lists(5, mask_lists(5, _members(_maximal(5, swapped))))
+                checked += 1
+    assert checked > 0
 
 
 def test_length_vector_keeps_fractions() -> None:

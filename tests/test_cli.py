@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polygonspace import Convention, LengthVector, MultiPoly, signature, volume_polynomial
-from polygonspace import cli
+from polygonspace import cli, volume
 
 from conftest import apply_convention, direct_volume_value
 
@@ -292,6 +292,35 @@ def test_validate_single_and_exhaustive() -> None:
     assert len(doc["reports"]) == 2
 
 
+def test_validate_n_keeps_neighbours_in_the_volume_cache(monkeypatch) -> None:
+    # chambers are validated in the walk's order, so a wall's far side is
+    # mostly still cached: 9733 Walsh tables were built in node order
+    builds = []
+    walsh = volume._walsh
+    monkeypatch.setattr(volume, "_walsh", lambda sig: builds.append(sig) or walsh(sig))
+    volume_polynomial.cache_clear()
+    try:
+        doc = invoke_json(["validate", "--n", "6"])
+    finally:
+        volume_polynomial.cache_clear()  # holds no record built by the wrapper
+    assert doc["checked"] == 1678 and doc["all_passed"] is True
+    assert len(builds) == 6808
+
+
+@pytest.mark.parametrize("fixture", ["graph4", "graph5"])
+def test_validate_n_reports_in_node_order(fixture: str, request) -> None:
+    # whatever order the chambers are validated in, reports and --limit
+    # follow the node order of the chamber graph
+    graph = request.getfixturevalue(fixture)
+    nonempty = [node.signature.to_lists() for node in graph.nodes if not node.empty]
+    full = invoke_json(["validate", "--n", str(graph.n), "--full"])["reports"]
+    assert [rep["signature"] for rep in full] == nonempty
+    for limit in (1, 3, len(full) + 1):
+        doc = invoke_json(["validate", "--n", str(graph.n), "--limit", str(limit), "--full"])
+        assert doc["checked"] == min(limit, len(full))
+        assert doc["reports"] == full[:limit]
+
+
 def test_validate_n_builds_no_chamber_graph(monkeypatch) -> None:
     # validate --n reads the walk's bitsets alone: no node, point or edge list
     def forbidden(*args, **kwargs):
@@ -322,6 +351,9 @@ def test_validate_n_builds_no_chamber_graph(monkeypatch) -> None:
          "463a436ebb42158f27900f7c82cf81d959a80329e6c93a7c56b2de297aa05104"),
         (["validate", "--n", "6", "--full"],
          "6ad3a8f988ebcf29c7484e382725f6bee51ff1a7c7f54e9f0390717ee90be0ff"),
+        # 9102 maximal short sets, more than the intern of index sets keeps
+        (["analyze", "--r", ",".join(map(str, [*range(100, 115), 116]))],
+         "9ec24834abaad8b830ea4023b6b0a09873b4a0f349ca7b0d4f5c28c3bb5a37d3"),
     ],
 )
 def test_census_documents_are_byte_stable(argv: list[str], digest: str) -> None:

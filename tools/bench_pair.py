@@ -58,12 +58,14 @@ REFERENCE_AROUND = 3  # reference loops right before and right after each case
 # the number of processes per side and pair: the census and the validation
 # at n = 6, single-point ring and betti at n = 7, 8, 9 (and both at n = 10),
 # ring at n = 8, and betti and volume at n = 9, under affine:1, the
-# wall-crossing betti at n = 16 on nearly equal lengths, and one intersection
-# number at n = 12, which take 0.1-1 s each.
+# wall-crossing betti and analyze (which lists 9102 maximal short sets) at
+# n = 16 on nearly equal lengths, and one intersection number at n = 12,
+# which take 0.1-1 s each.
 CLI = ["-m", "polygonspace.cli"]
 POINTS = {7: "83,39,102,167,13,19,138", 8: "94,150,15,130,55,10,23,112",
           9: "150,15,130,55,10,23,112,108,18", 10: "150,15,130,55,10,23,112,108,18,78",
           12: "2275,1523,2519,1734,2628,2414,2930,2723,2515,2335,2888,2085"}
+NEARLY_EQUAL_16 = ",".join(map(str, [*range(100, 115), 116]))
 CASES = {
     "chambers_n6_counts_only_s": ([*CLI, "chambers", "--n", "6", "--counts-only"], 1),
     "validate_n6_s": ([*CLI, "validate", "--n", "6"], 1),
@@ -76,8 +78,8 @@ CASES = {
     "betti_affine_n9_s": ([*CLI, "betti", "--r", POINTS[9], "--method", "apolar", "--convention", "affine:1"],
                           SHORT_REPEATS),
     "volume_affine_n9_s": ([*CLI, "volume", "--r", POINTS[9], "--convention", "affine:1"], SHORT_REPEATS),
-    "betti_wallcross_n16_s": ([*CLI, "betti", "--r", ",".join(map(str, [*range(100, 115), 116])),
-                               "--method", "wallcross"], SHORT_REPEATS),
+    "betti_wallcross_n16_s": ([*CLI, "betti", "--r", NEARLY_EQUAL_16, "--method", "wallcross"], SHORT_REPEATS),
+    "analyze_n16_s": ([*CLI, "analyze", "--r", NEARLY_EQUAL_16], SHORT_REPEATS),
     "intersect_n12_s": ([*CLI, "intersect", "--r", POINTS[12], "--alpha", "4,5,0,0,0,0,0,0,0,0,0,0"],
                         SHORT_REPEATS),
 }
