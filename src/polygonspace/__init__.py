@@ -60,7 +60,6 @@ from polygonspace.volume import (
     intersection_number,
     presented_volume,
     volume_polynomial,
-    volume_value,
     wall_jump,
 )
 from polygonspace.wallcross import (

@@ -159,9 +159,6 @@ class IndexSet:
         """Membership of a 1-based index (False outside 1..n)."""
         return 1 <= index <= self.n and bool(self.mask >> (index - 1) & 1)
 
-    def is_subset_of(self, other: IndexSet) -> bool:
-        return self.mask & ~other.mask == 0
-
     def permute(self, perm: Sequence[int]) -> IndexSet:
         """Relabel members: 0-based position i maps to perm[i]."""
         mask = 0
@@ -407,28 +404,8 @@ class ChamberSignature:
         tops = _bitset(self.n, (s.permute(perm).mask for s in self.maximal_shorts))
         return ChamberSignature(self.n, _down_closure(self.n, tops))
 
-    def sort_key(self) -> tuple[tuple[int, int], ...]:
-        return tuple(s.sort_key for s in self.maximal_shorts)
-
     def to_lists(self) -> list[list[int]]:
         return [list(s.indices) for s in self.maximal_shorts]
-
-    @classmethod
-    def from_lists(cls, n: int, lists: Sequence[Sequence[int]]) -> ChamberSignature:
-        """The chamber whose maximal short sets are the given 1-based index lists."""
-        sets = [IndexSet.from_indices(n, ix) for ix in lists]
-        if not sets:
-            raise ValueError("a chamber has at least one maximal short set")
-        tops = _bitset(n, (s.mask for s in sets))
-        if tops.bit_count() != len(sets):
-            raise ValueError("duplicate maximal short sets")
-        shorts = _down_closure(n, tops)
-        maximal = _maximal(n, shorts)
-        if maximal != tops:
-            a = next(s for s in sets if not maximal >> s.mask & 1)
-            b = next(t for t in sets if t is not a and a.is_subset_of(t))
-            raise ValueError(f"{a} is contained in {b}; sets must be inclusion-maximal")
-        return cls(n, shorts)
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(s) for s in self.maximal_shorts) + "]"
@@ -447,9 +424,9 @@ def canonical_form(sig: ChamberSignature) -> ChamberSignature:
     (Taylor–Zwicker, *Simple Games*): cᵢ orders the sides by desirability,
     and sides with equal cᵢ are interchangeable, so the order among them
     does not change the result.  This is one sort, not a search over the n!
-    relabelings, and the result need not be the smallest relabeling under
-    `sort_key`.  A family that fails the completeness test is no chamber
-    and raises ValueError.
+    relabelings, and the result need not be the first relabeling in node
+    order (`_node_order`).  A family that fails the completeness test is
+    no chamber and raises ValueError.
     """
     n = sig.n
     if not _complete(n, sig.shorts):
@@ -740,23 +717,28 @@ def enumerate_chambers(n: int, max_nodes: int | None = None) -> ChamberGraph:
     crossings would end in DegenerateWall; complete targets still may.
     """
     reps, found = _walk(n, max_nodes)
-    order = _node_order(n, reps)
-    index_of = {shorts: i for i, shorts in enumerate(order)}
+    order, edges = _indexed(n, reps, found)
     nodes = tuple(
         ChamberNode(sig, LengthVector(tuple(Fraction(x, den) for x in scaled)),
                     sig.is_empty(), sig.is_external())
         for sig, (scaled, den) in ((ChamberSignature._unchecked(n, s), reps[s]) for s in order)
     )
-    # the target swaps the pair {I, Iᶜ}; one edge per chamber pair, so the
-    # wall never decides the order
-    full = (1 << n) - 1
-    edges = sorted((index_of[a], index_of[a ^ (1 << mask | 1 << (full ^ mask))], mask) for a, mask in found)
     return ChamberGraph(n, nodes, tuple((a, b, Wall(_index_set(n, mask))) for a, b, mask in edges))
+
+
+def _indexed(n: int, reps: Iterable[int],
+             found: Iterable[tuple[int, int]]) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """The walk's chambers in node order, and its edges as sorted (source
+    index, target index, long set at the source): the target swaps the pair
+    {I, Iᶜ}, and one edge per chamber pair, so the wall never decides the order."""
+    order, full = _node_order(n, reps), (1 << n) - 1
+    index_of = {shorts: i for i, shorts in enumerate(order)}
+    return order, sorted((index_of[a], index_of[a ^ (1 << mask | 1 << (full ^ mask))], mask) for a, mask in found)
 
 
 def _node_order(n: int, chambers: Iterable[int]) -> list[int]:
     """The chambers' bitsets in node order: by the sorted ranks of their
-    maximal short sets, the order ChamberSignature.sort_key gives."""
+    maximal short sets, i.e. by the tuple of their IndexSet.sort_key values."""
     rank = _ranks(n)
     return sorted(chambers, key=lambda shorts: sorted(rank[m] for m in _members(_maximal(n, shorts))))
 

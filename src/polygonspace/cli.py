@@ -39,10 +39,11 @@ from polygonspace.chambers import (
     LengthVector,
     NonGenericSegment,
     SingularLength,
+    _index_set,
+    _indexed,
     _maximal,
     _node_order,
     _walk,
-    enumerate_chambers,
     epsilon,
     segment_crossings,
     signature,
@@ -482,40 +483,32 @@ def _cmd_wallcross(args: argparse.Namespace) -> tuple[dict[str, object], int]:
 
 def _cmd_chambers(args: argparse.Namespace) -> tuple[dict[str, object], int]:
     n = args.n
-    if args.counts_only:  # the walk alone, with no node objects
-        reps, found = _walk(n, args.max_nodes)
-        shorts, edge_count = list(reps), len(found)
-    else:
-        graph = enumerate_chambers(n, max_nodes=args.max_nodes)
-        shorts, edge_count = [node.signature.shorts for node in graph.nodes], len(graph.edges)
+    reps, found = _walk(n, args.max_nodes)  # bitsets and integer points, no node objects
     singletons = sum(1 << (1 << i) for i in range(n))  # empty: one is long; external: one is maximal
-    empty = sum(1 for s in shorts if s & singletons != singletons)
+    empty = sum(1 for s in reps if s & singletons != singletons)
     doc: dict[str, object] = {
         "n": n,
-        "count": len(shorts),
-        "nonempty": len(shorts) - empty,
+        "count": len(reps),
+        "nonempty": len(reps) - empty,
         "empty": empty,
-        "external": sum(1 for s in shorts if _maximal(n, s) & singletons),
-        "edge_count": edge_count,
+        "external": sum(1 for s in reps if _maximal(n, s) & singletons),
+        "edge_count": len(found),
     }
     if not args.counts_only:
+        order, edges = _indexed(n, reps, found)
         doc["nodes"] = [
             {
                 "index": i,
-                "signature": node.signature.to_lists(),
-                "representative": node.representative.to_strings(),
-                "empty": node.empty,
-                "external": node.external,
+                "signature": sig.to_lists(),
+                "representative": [format_rational(Fraction(x, den)) for x in scaled],
+                "empty": sig.is_empty(),
+                "external": sig.is_external(),
             }
-            for i, node in enumerate(graph.nodes)
+            for i, (sig, (scaled, den)) in enumerate((ChamberSignature._unchecked(n, s), reps[s]) for s in order)
         ]
         doc["edges"] = [
-            {
-                "source": a,
-                "target": b,
-                "wall_long_at_source": list(w.index_set.indices),
-            }
-            for a, b, w in graph.edges
+            {"source": a, "target": b, "wall_long_at_source": list(_index_set(n, mask).indices)}
+            for a, b, mask in edges
         ]
     return doc, EXIT_OK
 
@@ -562,6 +555,7 @@ _EXIT_CODES: tuple[tuple[type[Exception] | tuple[type[Exception], ...], int], ..
     (EmptyChamber, EXIT_EMPTY),
     (ValueError, EXIT_USAGE),
     (RuntimeError, EXIT_INTERNAL),  # BudgetExceeded and RecursionError among them
+    (MemoryError, EXIT_INTERNAL),  # its own message is often empty, so run() names it
 )
 
 
@@ -668,7 +662,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--to", dest="r_to", required=True, help="end lengths")
 
     p = add("chambers", _cmd_chambers, "Enumerate every chamber for n sides with facet adjacency.")
-    p.add_argument("--n", type=int, required=True, help="number of sides (3..7; n = 7 takes about 2 min)")
+    p.add_argument("--n", type=int, required=True,
+                   help="number of sides (3..7; n = 7 takes about 20 s, 50 s without --counts-only)")
     p.add_argument(
         "--max-nodes",
         type=int,
@@ -724,10 +719,10 @@ def run(
         doc, code = args.handler(args)
         if getattr(args, "decimal", None) is not None:
             doc[f"{args.headline}_approx"] = _decimal_text(Fraction(doc[args.headline]), args.decimal)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=err)
+        _emit(doc, args.format, out)
+    except (ValueError, RuntimeError, MemoryError) as exc:
+        print(f"error: {'out of memory' if isinstance(exc, MemoryError) else exc}", file=err)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
-    _emit(doc, args.format, out)
     return code
 
 

@@ -145,14 +145,6 @@ class MultiPoly:
         return cls(nvars, {(0,) * nvars: Fraction(value)})
 
     @classmethod
-    def variable(cls, nvars: int, index: int) -> MultiPoly:
-        """The monomial x_index (0-based position)."""
-        if not 0 <= index < nvars:
-            raise ValueError(f"variable index {index} out of range for nvars={nvars}")
-        exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
-
-    @classmethod
     def linear_form(cls, coeffs: Sequence[Scalar]) -> MultiPoly:
         """Σ coeffs[i]·x_i."""
         nvars = len(coeffs)
@@ -167,17 +159,6 @@ class MultiPoly:
     def terms(self) -> tuple[tuple[Exponents, Fraction], ...]:
         """Terms in canonical (graded-lex descending) order."""
         return self._terms
-
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        e = tuple(int(x) for x in exps)
-        for te, tc in self._terms:
-            if te == e:
-                return tc
-        return Fraction(0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from polygonspace.chambers import ChamberSignature, IndexSet, LengthVector, _members, _proper, signature
+from polygonspace.chambers import ChamberSignature, IndexSet, _members, _proper
 from polygonspace.ratpoly import Exponents, MultiIndex, MultiPoly, _scaled, monomial_exponents
 
 SCALE_NOTE = "(2pi)^(n-3)"
@@ -279,11 +279,6 @@ def presented_volume(vp: VolumePolynomial, conv: Convention) -> MultiPoly:
             if total := _read_walsh(w, fold, t):
                 terms[beta] = Fraction(sign * total, 2 * kfact * math.prod(map(math.factorial, beta)))
     return MultiPoly._from_terms(n - 1, terms)
-
-
-def volume_value(r: LengthVector) -> Fraction:
-    """vol(M(r)) / (2π)^{n−3} at a generic r; zero iff the space is empty."""
-    return volume_polynomial(signature(r)).v.evaluate(tuple(r))
 
 
 def intersection_number(

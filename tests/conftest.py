@@ -104,7 +104,7 @@ def reference_walk(n: int) -> ChamberGraph:
                 reps[neighbor] = after
                 queue.append(neighbor)
             found.append((sig, neighbor, Wall(exit_set)))
-    ordered = sorted(reps, key=lambda s: s.sort_key())
+    ordered = sorted(reps, key=lambda s: tuple(m.sort_key for m in s.maximal_shorts))
     index_of = {sig: i for i, sig in enumerate(ordered)}
     nodes = tuple(ChamberNode(s, reps[s], s.is_empty(), s.is_external()) for s in ordered)
     edges = sorted(
@@ -115,12 +115,14 @@ def reference_walk(n: int) -> ChamberGraph:
 
 
 def reference_canonical_form(sig: ChamberSignature) -> ChamberSignature:
-    """The smallest relabeling under ``sort_key``, by trying all n! of them.
+    """The relabeling first in node order (by its maximal short sets'
+    ``sort_key``), by trying all n! of them.
 
     Oracle for ``canonical_form``: the two pick different members of an
     orbit, but must split chambers into the same classes.
     """
-    return min((sig.permute(perm) for perm in permutations(range(sig.n))), key=lambda s: s.sort_key())
+    relabelings = (sig.permute(perm) for perm in permutations(range(sig.n)))
+    return min(relabelings, key=lambda s: tuple(m.sort_key for m in s.maximal_shorts))
 
 
 def walk_betti(r: LengthVector, anchor_index: int | None = None) -> tuple[int, ...]:
@@ -417,7 +419,7 @@ def reference_annihilator_generators(
     for d in range(1, sig.n - 1):
         kernel = _reference_kernel(poly, d)
         old_span = [
-            MultiPoly.variable(nvars, i) * g for g in prev_kernel for i in range(nvars)
+            MultiPoly.linear_form([int(j == i) for j in range(nvars)]) * g for g in prev_kernel for i in range(nvars)
         ]
         out.append((d, tuple(_reference_reduce_modulo(kernel, old_span, nvars, d))))
         prev_kernel = kernel
@@ -450,7 +452,7 @@ def oracle_is_zero(c: MultiPoly, sig: ChamberSignature, conv: Convention) -> boo
     term of Q), not the chamber's Hankel table.  Oracle for
     apolar.is_zero_class.
     """
-    return c.apply_operator(presented(sig, conv)).is_zero
+    return not c.apply_operator(presented(sig, conv))
 
 
 def oracle_pairing(
@@ -459,7 +461,7 @@ def oracle_pairing(
     """(a*b)(d)v by ``apply_operator``, a constant.  Oracle for poincare_pairing."""
     value = (a * b).apply_operator(presented(sig, conv))
     assert value.degree() <= 0, "the pairing of complementary degrees is a constant"
-    return value.coefficient((0,) * value.nvars)
+    return dict(value.terms()).get((0,) * value.nvars, 0)
 
 
 # -- the expanded route: the chamber polynomial presented in a convention,
@@ -561,7 +563,7 @@ def expanded_catalecticant(
     hankel = hankel_table(poly)[0] if hankel is None else hankel
     domain = monomial_exponents(poly.nvars, d)
     top = max(poly.degree() - d, 0)
-    degrees = [top] if poly.is_homogeneous() and not poly.is_zero else range(top + 1)
+    degrees = [top] if poly.is_homogeneous() and poly else range(top + 1)
     rows = [
         [hankel.get(tuple(map(add, alpha, gamma)), 0) for alpha in domain]
         for k in degrees

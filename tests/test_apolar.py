@@ -67,7 +67,7 @@ AFF5 = Convention.affine(5)
 
 
 def var(nvars: int, i: int) -> MultiPoly:
-    return MultiPoly.variable(nvars, i - 1)
+    return MultiPoly.linear_form([int(j == i - 1) for j in range(nvars)])
 
 
 def cls(poly: MultiPoly) -> CohomologyClass:
@@ -258,7 +258,7 @@ def test_annihilator_blowup_affine(blowup_sig) -> None:
     assert same_span(list(gens[1]), [var(4, 2), var(4, 4)], 4, 1)
     v_aff = presented(blowup_sig, AFF5)
     relation = var(4, 1) ** 2 - var(4, 1) * var(4, 3)
-    assert relation.apply_operator(v_aff).is_zero
+    assert not relation.apply_operator(v_aff)
     assert same_span(list(gens[2]), [relation, var(4, 3) ** 2], 4, 2)
     assert gens[3] == ()
 
@@ -268,8 +268,8 @@ def test_powers_of_short_singleton_variable(cp2_sig) -> None:
     # x3^2 != 0 and x3^3 = 0
     v_aff = presented(cp2_sig, AFF5)
     x3 = var(4, 3)
-    assert (x3**3).apply_operator(v_aff).is_zero
-    assert not (x3**2).apply_operator(v_aff).is_zero
+    assert not (x3**3).apply_operator(v_aff)
+    assert (x3**2).apply_operator(v_aff)
 
 
 def test_generators_annihilate_everywhere(graph4) -> None:
@@ -281,7 +281,7 @@ def test_generators_annihilate_everywhere(graph4) -> None:
             v = presented(node.signature, conv)
             for _, gens in annihilator_generators(node.signature, conv):
                 for g in gens:
-                    assert g.apply_operator(v).is_zero
+                    assert not g.apply_operator(v)
 
 
 def test_generators_are_complete(cp2_sig, blowup_sig, graph4) -> None:
@@ -426,7 +426,7 @@ def test_pairing_nondegenerate_in_middle_degree(blowup_sig) -> None:
         LengthVector.parse("19/100,21/100,20/100,19/100,21/100")
     )
     for sig, middle_rank in ((blowup_sig, 2), (near_equilateral, 5)):
-        xs = [cls(MultiPoly.variable(5, i)) for i in range(5)]
+        xs = [cls(var(5, i + 1)) for i in range(5)]
         mat = [[poincare_pairing(a, b, sig, HOM) for b in xs] for a in xs]
         assert matrix_rank(mat, ncols=5) == middle_rank
         assert middle_rank == betti_numbers(sig, HOM)[1]
@@ -565,7 +565,7 @@ def test_lifted_route_matches_the_expanded_route(graph5) -> None:
             for beta in monomial_exponents(nvars, n - 3)[:: 1 if n == 5 else 7]:
                 j = conv.affine_index
                 alpha = MultiIndex(beta if j is None else beta[: j - 1] + (0,) + beta[j - 1 :])
-                expected = v_aff.differentiate(beta).coefficient((0,) * nvars)
+                expected = dict(v_aff.differentiate(beta).terms()).get((0,) * nvars, 0)
                 assert intersection_number(sig, alpha, conv) == expected, (sig, conv, alpha)
 
 

@@ -27,7 +27,9 @@ from polygonspace import (
     signature,
 )
 from polygonspace import chambers, exactlp
-from polygonspace.chambers import _complete, _index_set, _max_margin_point, _maximal, _members, _selectors
+from polygonspace.chambers import (
+    _complete, _down_closure, _index_set, _max_margin_point, _maximal, _members, _selectors,
+)
 
 from conftest import (
     BLOWUP_R,
@@ -51,6 +53,11 @@ F = Fraction
 
 def iset(n: int, *indices: int) -> IndexSet:
     return IndexSet.from_indices(n, indices)
+
+
+def below(n: int, lists) -> int:
+    """The bitset of the given 1-based index lists and all their nonempty subsets."""
+    return _down_closure(n, sum(1 << iset(n, *ix).mask for ix in lists))
 
 
 # ---------------------------------------------------------------- basic types
@@ -77,7 +84,6 @@ def test_index_set_basics() -> None:
     assert I.complement.indices == (2, 4, 5)
     assert str(I) == "{1,3}"
     assert I.contains(3) and not I.contains(2)
-    assert I.is_subset_of(iset(5, 1, 2, 3))
     with pytest.raises(ValueError):
         iset(5, 0, 2)
     with pytest.raises(ValueError):
@@ -188,10 +194,8 @@ def test_signature_all_pairs_short() -> None:
 
 
 def test_signature_validation() -> None:
-    with pytest.raises(ValueError):
-        ChamberSignature.from_lists(4, [[1], [1, 2]])  # nested sets
-    with pytest.raises(ValueError):
-        ChamberSignature.from_lists(4, [[1]])  # pairs left unclassified
+    with pytest.raises(ValueError, match="do not classify the pair"):
+        ChamberSignature(4, below(4, [[1]]))  # pairs left unclassified
     with pytest.raises(ValueError):
         ChamberSignature(4, 0)
     # the bitset itself: bit m is set when the set of mask m is short
@@ -231,23 +235,17 @@ def test_signature_validation_rejects_bad_families_n6() -> None:
     sig = signature(LengthVector.parse("1,2,3,4,5,6"))  # odd perimeter: generic
     lists = sig.to_lists()
     top = next(ix for ix in lists if len(ix) > 1)
-    with pytest.raises(ValueError, match="is contained in"):
-        ChamberSignature.from_lists(6, lists + [top[:-1]])
     with pytest.raises(ValueError, match="do not classify the pair"):
-        ChamberSignature.from_lists(6, [ix for ix in lists if ix != top])
+        ChamberSignature(6, below(6, [ix for ix in lists if ix != top]))
     # a long set holding no short set: listing it makes both of its pair short
-    free = next(L for L in long_sets(sig) if not any(s.is_subset_of(L) for s in sig.maximal_shorts))
+    free = next(L for L in long_sets(sig) if not any(s.mask & ~L.mask == 0 for s in sig.maximal_shorts))
     with pytest.raises(ValueError, match="do not classify the pair"):
-        ChamberSignature.from_lists(6, lists + [list(free.indices)])
-    with pytest.raises(ValueError, match="duplicate"):
-        ChamberSignature.from_lists(6, lists + [top])
-    with pytest.raises(ValueError, match="at least one"):
-        ChamberSignature.from_lists(6, [])
-    assert ChamberSignature.from_lists(6, list(reversed(lists))) == sig
+        ChamberSignature(6, below(6, lists + [list(free.indices)]))
+    assert ChamberSignature(6, below(6, lists)) == sig
 
 
 def test_signature_round_trip_and_flip(cp2_sig: ChamberSignature) -> None:
-    again = ChamberSignature.from_lists(5, cp2_sig.to_lists())
+    again = ChamberSignature(5, below(5, cp2_sig.to_lists()))
     assert again == cp2_sig
     flipped = cp2_sig.flip(iset(5, 1, 3))
     assert flipped == signature(BLOWUP_R)
@@ -310,8 +308,8 @@ def test_canonical_form_class_counts(fixture: str, classes: int, request) -> Non
 def test_canonical_form_rejects_an_incomplete_family() -> None:
     # short {1,2,3} but long {2,3,6}, short {2,5,6} but long {1,2,5}: sides 1
     # and 6 are not comparable, so no length vector has this family
-    family = ChamberSignature.from_lists(
-        6, [[1, 2, 3], [1, 4, 5], [2, 4, 6], [2, 5, 6], [3, 4, 6], [3, 5, 6], [2, 3, 4, 5]]
+    family = ChamberSignature(
+        6, below(6, [[1, 2, 3], [1, 4, 5], [2, 4, 6], [2, 5, 6], [3, 4, 6], [3, 5, 6], [2, 3, 4, 5]])
     )
     with pytest.raises(ValueError, match="not a complete family"):
         canonical_form(family)
@@ -349,8 +347,8 @@ def test_representative_realizes_signature(graph4) -> None:
 def test_representative_on_degenerate_wall_chamber() -> None:
     # regression: the margin LP for this chamber once returned an infeasible
     # point under an inexact solver, producing a wrong signature downstream
-    sig = ChamberSignature.from_lists(
-        5, [[1, 3], [2, 3], [4, 5], [1, 2, 4], [1, 2, 5]]
+    sig = ChamberSignature(
+        5, below(5, [[1, 3], [2, 3], [4, 5], [1, 2, 4], [1, 2, 5]])
     )
     r = representative(sig)
     assert signature(r) == sig
@@ -866,7 +864,7 @@ def test_integer_walk_matches_reference_walk(n: int) -> None:
 def test_node_order_is_sort_key_order(fixture: str, request) -> None:
     # enumerate_chambers sorts by the ranks of the maximal short sets
     signatures = [node.signature for node in request.getfixturevalue(fixture).nodes]
-    assert signatures == sorted(signatures, key=lambda sig: sig.sort_key())
+    assert signatures == sorted(signatures, key=lambda sig: tuple(s.sort_key for s in sig.maximal_shorts))
 
 
 @pytest.mark.parametrize("fixture", ["graph3", "graph4", "graph5", "graph6"])
@@ -915,7 +913,7 @@ def test_to_lists_returns_fresh_lists(cp2_sig: ChamberSignature) -> None:
     lists[0].append(99)
     lists.append([1])
     assert cp2_sig.to_lists() == expected
-    assert ChamberSignature.from_lists(5, cp2_sig.to_lists()) == cp2_sig
+    assert ChamberSignature(5, below(5, cp2_sig.to_lists())) == cp2_sig
 
 
 @pytest.mark.parametrize("fixture", ["graph3", "graph4", "graph5", "graph6"])
@@ -946,7 +944,7 @@ def test_invalid_families_still_raise(graph5) -> None:
                 with pytest.raises(ValueError):
                     ChamberSignature(5, swapped)
                 with pytest.raises(ValueError):
-                    ChamberSignature.from_lists(5, mask_lists(5, _members(_maximal(5, swapped))))
+                    ChamberSignature(5, _down_closure(5, _maximal(5, swapped)))
                 checked += 1
     assert checked > 0
 

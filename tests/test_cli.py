@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polygonspace import Convention, LengthVector, MultiPoly, signature, volume_polynomial
-from polygonspace import cli, volume
+from polygonspace import chambers, cli, volume
 
 from conftest import apply_convention, direct_volume_value
 
@@ -108,7 +108,7 @@ def test_ring_document() -> None:
     for g in doc["generators"]:
         for c in g["classes"]:
             poly = MultiPoly.from_records(4, c["records"])
-            assert poly.apply_operator(v_aff).is_zero
+            assert not poly.apply_operator(v_aff)
 
 
 def test_pairing_text_and_record_inputs() -> None:
@@ -321,47 +321,52 @@ def test_validate_n_reports_in_node_order(fixture: str, request) -> None:
         assert doc["reports"] == full[:limit]
 
 
-def test_validate_n_builds_no_chamber_graph(monkeypatch) -> None:
-    # validate --n reads the walk's bitsets alone: no node, point or edge list
-    def forbidden(*args, **kwargs):
-        raise AssertionError("validate --n needs no chamber graph")
+CENSUS_DIGESTS = [
+    (["chambers", "--n", "4"],
+     "a213c319ee031a97c1747920d99f990ff0df14d351bcb36c15cfcff8d9c98451"),
+    (["chambers", "--n", "5"],
+     "4108fed26ad87f918401b3baae69c54c0a1a8e335982c350bfec525bb04fe477"),
+    (["chambers", "--n", "5", "--counts-only"],
+     "0613f403904f827fda3c4e73a4016e480df672b2f428b326870698b442a80809"),
+    (["validate", "--n", "5", "--full"],
+     "87b8decbf5bf5f865ebba042756e043453e0f0660de3636d3ff1f17cac720bec"),
+    # n = 6 is the smallest n with walls that carry no facet (2180
+    # skipped by the walk's completeness test)
+    (["chambers", "--n", "6"],
+     "1cc0fb6159ed27fbc63b4c710fca59617a3e1849ebda3d16e95aff01856bc8c3"),
+    (["chambers", "--n", "6", "--counts-only"],
+     "463a436ebb42158f27900f7c82cf81d959a80329e6c93a7c56b2de297aa05104"),
+    (["validate", "--n", "6", "--full"],
+     "6ad3a8f988ebcf29c7484e382725f6bee51ff1a7c7f54e9f0390717ee90be0ff"),
+    # 9102 maximal short sets, more than the intern of index sets keeps
+    (["analyze", "--r", ",".join(map(str, [*range(100, 115), 116]))],
+     "9ec24834abaad8b830ea4023b6b0a09873b4a0f349ca7b0d4f5c28c3bb5a37d3"),
+]
 
-    monkeypatch.setattr(cli, "enumerate_chambers", forbidden)
-    doc = invoke_json(["validate", "--n", "5"])
-    assert doc["checked"] == 76
-    assert doc["all_passed"] is True
 
-
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (["chambers", "--n", "4"],
-         "a213c319ee031a97c1747920d99f990ff0df14d351bcb36c15cfcff8d9c98451"),
-        (["chambers", "--n", "5"],
-         "4108fed26ad87f918401b3baae69c54c0a1a8e335982c350bfec525bb04fe477"),
-        (["chambers", "--n", "5", "--counts-only"],
-         "0613f403904f827fda3c4e73a4016e480df672b2f428b326870698b442a80809"),
-        (["validate", "--n", "5", "--full"],
-         "87b8decbf5bf5f865ebba042756e043453e0f0660de3636d3ff1f17cac720bec"),
-        # n = 6 is the smallest n with walls that carry no facet (2180
-        # skipped by the walk's completeness test)
-        (["chambers", "--n", "6"],
-         "1cc0fb6159ed27fbc63b4c710fca59617a3e1849ebda3d16e95aff01856bc8c3"),
-        (["chambers", "--n", "6", "--counts-only"],
-         "463a436ebb42158f27900f7c82cf81d959a80329e6c93a7c56b2de297aa05104"),
-        (["validate", "--n", "6", "--full"],
-         "6ad3a8f988ebcf29c7484e382725f6bee51ff1a7c7f54e9f0390717ee90be0ff"),
-        # 9102 maximal short sets, more than the intern of index sets keeps
-        (["analyze", "--r", ",".join(map(str, [*range(100, 115), 116]))],
-         "9ec24834abaad8b830ea4023b6b0a09873b4a0f349ca7b0d4f5c28c3bb5a37d3"),
-    ],
-)
+@pytest.mark.parametrize("argv, digest", CENSUS_DIGESTS)
 def test_census_documents_are_byte_stable(argv: list[str], digest: str) -> None:
     # SHA-256 of stdout as the Fraction-based walk printed it: the integer
     # walk must reproduce every representative and edge byte for byte
     code, out, err = invoke(argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_census_commands_build_no_chamber_graph(monkeypatch) -> None:
+    # chambers and validate --n read the walk's bitsets and integer points
+    # alone: no ChamberGraph, ChamberNode or enumerate_chambers
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the CLI needs no chamber graph")
+
+    for name in ("enumerate_chambers", "ChamberGraph", "ChamberNode"):
+        monkeypatch.setattr(chambers, name, forbidden)
+    pinned = {tuple(argv): digest for argv, digest in CENSUS_DIGESTS}
+    for argv in (["chambers", "--n", "5"], ["chambers", "--n", "5", "--counts-only"],
+                 ["validate", "--n", "5", "--full"]):
+        code, out, err = invoke(argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned[tuple(argv)]
 
 
 RING_N6_CLASSES = ("1,2,2,2,2,6", "1,1,1,4,4,4", "1,1,1,2,2,4", "1,1,1,1,2,3", "1,1,1,1,1,2")
@@ -466,6 +471,14 @@ def test_exit_empty_space() -> None:
     assert doc["poly"]["text"] == "0"
 
 
+def test_out_of_memory_exits_1_with_one_line(monkeypatch) -> None:
+    def exhausted(sig):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "volume_polynomial", exhausted)
+    assert invoke(["volume", "--r", CP2]) == (cli.EXIT_INTERNAL, "", "error: out of memory\n")
+
+
 def test_exit_usage_errors() -> None:
     # the whole stderr line of each, not a fragment
     usage = [
@@ -544,7 +557,7 @@ HELP_DIGESTS = {
     "pairing": "7d5535509007f1eb19f1359c7ac58212d4b52fc642763029c6c5d43f34805899",
     "pd-class": "189b8ecc3f817f54a50fe85158f6c1a1d6aa1467cbdb7dd240effca2f2724bb1",
     "wallcross": "6ecfe678cd5be5f02d57a22db67bb9de82f3d06b499c0b432a610e13739fc8a7",
-    "chambers": "f4b0ee3b8f36d128168e66d067fb0912299821e472086e07f16b0c63baaf7646",
+    "chambers": "b6b796c2727ca62b27f7ac2f4320938f7de606f2be9296f379df671e37b35d30",
     "validate": "0239644210075c4996aa49ac555e1c1941a2dc5a331da3a8c92dccf576279b57",
 }
 
@@ -790,7 +803,7 @@ def test_ring_n7_regression() -> None:
         for x in points:
             assert direct_volume_value(r, operator=g, at=x) == 0
     # the check can fail: no linear form annihilates v here
-    x1 = MultiPoly.variable(7, 0)
+    x1 = MultiPoly.linear_form([1, 0, 0, 0, 0, 0, 0])
     value = x1.apply_operator(volume_polynomial(signature(r)).v).evaluate(points[1])
     assert direct_volume_value(r, operator=x1, at=points[1]) == value != 0
 

@@ -76,7 +76,7 @@ def test_multiindex_total_and_validation() -> None:
 def test_constructor_merges_and_drops_zeros() -> None:
     p = MultiPoly(2, [((1, 0), F(2)), ((1, 0), F(-2)), ((0, 1), F(3))])
     assert p == MultiPoly(2, {(0, 1): F(3)})
-    assert MultiPoly(2, {(1, 1): F(0)}).is_zero
+    assert not MultiPoly(2, {(1, 1): F(0)})
 
 
 def test_graded_lex_canonical_order() -> None:
@@ -89,13 +89,12 @@ def test_graded_lex_canonical_order() -> None:
 
 
 def test_constructors_and_queries() -> None:
-    x0 = MultiPoly.variable(3, 0)
-    assert x0.degree() == 1 and x0.coefficient((1, 0, 0)) == 1
+    x0 = MultiPoly.linear_form([1, 0, 0])
+    assert x0.degree() == 1 and x0.terms() == (((1, 0, 0), 1),)
     form = MultiPoly.linear_form([1, -2, 3])
-    assert form.coefficient((0, 1, 0)) == -2
+    assert dict(form.terms()).get((0, 1, 0), 0) == -2
     c = MultiPoly.constant(2, F(7, 2))
-    assert c.coefficient((0, 0)) == F(7, 2) and c.degree() == 0
-    assert MultiPoly.zero(4).is_zero
+    assert dict(c.terms()).get((0, 0), 0) == F(7, 2) and c.degree() == 0
     assert not MultiPoly.zero(4)
     assert form.is_homogeneous()
     assert not (form + 1).is_homogeneous()
@@ -137,7 +136,7 @@ def test_differentiate_examples() -> None:
     assert p.differentiate((2, 0)) == MultiPoly.constant(2, 2)
     form2 = MultiPoly.linear_form([1, 1, -1]) ** 2
     assert form2.differentiate((0, 0, 2)) == MultiPoly.constant(3, 2)
-    assert form2.differentiate((4, 0, 0)).is_zero
+    assert not form2.differentiate((4, 0, 0))
     with pytest.raises(ValueError):
         form2.differentiate((1, 0))
 
@@ -184,7 +183,7 @@ def test_apply_operator_matches_iterated_differentiate() -> None:
         via_product = (q * r).apply_operator(target)
         via_steps = q.apply_operator(r.apply_operator(target))
         assert via_product == via_steps
-    x1 = MultiPoly.variable(2, 1)
+    x1 = MultiPoly.linear_form([0, 1])
     p = MultiPoly(2, {(1, 2): F(3)})
     assert x1.apply_operator(p) == p.differentiate((0, 1))
 

@@ -25,8 +25,9 @@ The result goes to ``BENCH_<NAME>.json`` at the root: for each workload and
 metric the first quartile, median and third quartile of each side, and the
 pairs the working tree won (strictly better in the direction
 ``BENCHMARK.json`` gives); for each case the same of ``raw_s``,
-``scaled_s`` and ``reference_s``; every run's values; and each side's
-commit and ``src/`` line count.
+``scaled_s``, ``reference_s`` and the processes' ``cpu_s`` and
+``maxrss_mb``; every run's values; and each side's commit and ``src/``
+line count.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import threading
 from io import BytesIO
 from pathlib import Path
 from time import perf_counter
@@ -144,32 +146,45 @@ def _reference_s(bench) -> float:
     return perf_counter() - start
 
 
+def _reap(pid: int, ended: dict) -> None:
+    """Wait for the child pid; its end time, exit status and resource usage."""
+    _, status, usage = os.wait4(pid, 0)
+    ended.update(end=perf_counter(), status=status, usage=usage)
+
+
 def time_case(tree: Path, argv: list[str], repeats: int, bench) -> dict[str, float]:
-    """The median wall seconds of `repeats` fresh processes run back to back;
-    the median time of the reference loop, run REFERENCE_AROUND times right
-    before the first and right after the last and once every GAUGE_PERIOD_S
-    while they run; and that wall time scaled to the reference speed.  A
-    process's end is seen at most one loop late."""
+    """The median wall seconds of `repeats` fresh processes run back to back,
+    each timed to its exit by a thread blocked in os.wait4, with the median
+    CPU seconds (user + system) and peak RSS of those processes; the median
+    time of the reference loop, run REFERENCE_AROUND times right before the
+    first and right after the last and once every GAUGE_PERIOD_S while they
+    run; and that wall time scaled to the reference speed."""
     env = dict(_env(), PYTHONPATH=str(tree / "src"))
     samples = [_reference_s(bench) for _ in range(REFERENCE_AROUND)]
-    times = []
+    times, cpu, rss = [], [], []
     for _ in range(repeats):
+        ended: dict = {}
         start = perf_counter()
-        with subprocess.Popen([sys.executable, *argv], cwd=tree, env=env,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL) as proc:
-            while True:
-                try:
-                    proc.wait(timeout=bench.GAUGE_PERIOD_S)
-                    break
-                except subprocess.TimeoutExpired:
-                    samples.append(_reference_s(bench))
-        times.append(perf_counter() - start)
+        proc = subprocess.Popen([sys.executable, *argv], cwd=tree, env=env,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        waiter = threading.Thread(target=_reap, args=(proc.pid, ended))
+        waiter.start()
+        waiter.join(bench.GAUGE_PERIOD_S)
+        while waiter.is_alive():
+            samples.append(_reference_s(bench))
+            waiter.join(bench.GAUGE_PERIOD_S)
+        proc.returncode = os.waitstatus_to_exitcode(ended["status"])  # reaped here, not by Popen
         if proc.returncode:
             raise RuntimeError(f"{' '.join(argv)} in {tree} exited with {proc.returncode}")
+        usage = ended["usage"]
+        times.append(ended["end"] - start)
+        cpu.append(usage.ru_utime + usage.ru_stime)
+        rss.append(usage.ru_maxrss / 1024)  # kB on Linux
     raw = statistics.median(times)
     samples += [_reference_s(bench) for _ in range(REFERENCE_AROUND)]
     reference = statistics.median(samples)
-    return {"raw_s": raw, "scaled_s": raw * bench.REFERENCE_S / reference, "reference_s": reference}
+    return {"raw_s": raw, "scaled_s": raw * bench.REFERENCE_S / reference, "reference_s": reference,
+            "cpu_s": statistics.median(cpu), "maxrss_mb": statistics.median(rss)}
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
